@@ -4,7 +4,8 @@
 # the real numbers).
 
 .PHONY: all build test check bench bench-telemetry bench-profile lint-smoke \
-        bound-smoke trace-smoke profile-smoke parallel-smoke fuzz-smoke clean
+        bound-smoke trace-smoke profile-smoke parallel-smoke fuzz-smoke \
+        serve-smoke clean
 
 all: build
 
@@ -28,6 +29,7 @@ check:
 	$(MAKE) trace-smoke
 	$(MAKE) profile-smoke
 	$(MAKE) fuzz-smoke
+	$(MAKE) serve-smoke
 
 # The three analysis passes over the lint corpus (which includes the §2.2
 # probe-read exploit vehicle): every known-bad program must be flagged,
@@ -119,6 +121,18 @@ fuzz-smoke:
 	! dune exec bin/untenable_cli.exe -- fuzz --replay /tmp/no-such-file.fuzz \
 	  2> /dev/null
 	@echo "fuzz-smoke: OK"
+
+# Serving-path gate: a short run of the benchmark's JIT workload (JIT
+# images cached per epoch, one hot reload per 64-event burst) must serve
+# every burst with the checksum of the interpreter reference replay.
+serve-smoke:
+	dune build @all
+	dune exec --root . --display quiet -- ./perfbench/main.exe \
+	  --workload serve-jit-reload --seed 7 --seconds 2 --trace 0 \
+	  > /tmp/serve_smoke.out
+	tail -n 1 /tmp/serve_smoke.out | grep -q '"correct": true'
+	tail -n 1 /tmp/serve_smoke.out | grep -q '"failed": 0,'
+	@echo "serve-smoke: OK"
 
 bench:
 	dune exec bench/main.exe

@@ -9,6 +9,7 @@ type attachment = {
   attach_id : int;
   hook : string;
   loaded : Pipeline.loaded;
+  digest : string;
 }
 
 type t = {
@@ -19,8 +20,20 @@ type t = {
 
 let create () = { next_attach_id = 1; hooks = Hashtbl.create 4 }
 
+(* The extension's content digest — the identity that survives reloads:
+   re-attaching the same image after an epoch swap produces a new attach id
+   but the same digest, which is how the supervisor carries breaker and
+   quarantine history across epochs.  A SHA-256 of the whole image, so it
+   is computed once here, never per invocation. *)
+let content_digest = function
+  | Pipeline.Ebpf_prog { prog; _ } -> Ebpf.Program.digest prog
+  | Pipeline.Rustlite_ext { ext; _ } -> Rustlite.Toolchain.artifact_digest ext
+
 let attach t ~hook loaded =
-  let a = { attach_id = t.next_attach_id; hook; loaded } in
+  let a =
+    { attach_id = t.next_attach_id; hook; loaded;
+      digest = content_digest loaded }
+  in
   t.next_attach_id <- t.next_attach_id + 1;
   let existing = Option.value ~default:[] (Hashtbl.find_opt t.hooks hook) in
   Hashtbl.replace t.hooks hook (a :: existing);
@@ -53,14 +66,7 @@ let name a =
   | Pipeline.Rustlite_ext { ext; _ } ->
     ext.Rustlite.Toolchain.src.Rustlite.Toolchain.name
 
-(* The extension's content digest — the identity that survives reloads:
-   re-attaching the same image after an epoch swap produces a new attach id
-   but the same digest, which is how the supervisor carries breaker and
-   quarantine history across epochs. *)
-let digest a =
-  match a.loaded with
-  | Pipeline.Ebpf_prog { prog; _ } -> Ebpf.Program.digest prog
-  | Pipeline.Rustlite_ext { ext; _ } -> Rustlite.Toolchain.artifact_digest ext
+let digest a = a.digest
 
 (* Attachments on [hook], in attach order. *)
 let attached t ~hook =
@@ -79,8 +85,8 @@ let describe a =
   | Pipeline.Ebpf_prog { prog_id; prog; _ } ->
     Printf.sprintf "#%d %s prog_id=%d %s" a.attach_id prog.Ebpf.Program.name
       prog_id
-      (String.sub (digest a) 0 12)
+      (String.sub a.digest 0 12)
   | Pipeline.Rustlite_ext { ext; _ } ->
     Printf.sprintf "#%d %s (rustlite) %s" a.attach_id
       ext.Rustlite.Toolchain.src.Rustlite.Toolchain.name
-      (String.sub (digest a) 0 12)
+      (String.sub a.digest 0 12)

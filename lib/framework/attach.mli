@@ -3,11 +3,13 @@
     Dispatch order within a hook is attach order, like the kernel's
     prog-array chains. *)
 
-type attachment = {
+type attachment = private {
   attach_id : int;
   hook : string;
   loaded : Pipeline.loaded;
+  digest : string;  (** content digest of [loaded], computed by {!attach} *)
 }
+(** Built only by {!attach}, so [digest] always matches [loaded]. *)
 
 type t
 
@@ -26,7 +28,8 @@ val name : attachment -> string
 val digest : attachment -> string
 (** The extension's full content digest — the identity that survives
     reloads (a re-attached image gets a new attach id, same digest).
-    {!Supervisor} keys breaker/quarantine history by it. *)
+    {!Supervisor} keys breaker/quarantine history by it.  Computed once
+    at {!attach}; this is a field read. *)
 
 val attached : t -> hook:string -> attachment list
 (** In attach order. *)

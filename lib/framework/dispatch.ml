@@ -37,14 +37,12 @@ let tele_stops = Telemetry.Registry.counter "dispatch.stops"
 let tele_exhausted = Telemetry.Registry.counter "dispatch.exhausted"
 let tele_event_ns = Telemetry.Registry.histogram "dispatch.event_ns"
 
-let host_ns () = Int64.of_float (Sys.time () *. 1e9)
-
 (* One event through every extension attached to [hook], in attach order,
    with no supervision — the raw fan-out.  Returns the per-attachment
    reports (same order). *)
 let dispatch_event e ~hook payload =
   Telemetry.Registry.bump tele_events;
-  let started = host_ns () in
+  let started = Telemetry.Clock.host_ns () in
   let opts = { e.opts with Invoke.skb_payload = Some payload } in
   let reports =
     List.map
@@ -59,5 +57,6 @@ let dispatch_event e ~hook payload =
         report)
       (Attach.attached e.attach ~hook)
   in
-  Telemetry.Registry.observe tele_event_ns (Int64.sub (host_ns ()) started);
+  Telemetry.Registry.observe tele_event_ns
+    (Int64.sub (Telemetry.Clock.host_ns ()) started);
   reports

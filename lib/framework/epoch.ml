@@ -79,12 +79,17 @@ type store = {
   mutable next_prog_id : int;
   (* superseded snapshots still waiting out their grace period *)
   mutable retiring : snapshot list;
-  mutable transitions : transition list;  (* newest first *)
+  (* the newest [transition_window] rows, newest first *)
+  mutable transitions : transition list;
   mutable published : int;  (* swaps since genesis (genesis excluded) *)
   mutable retired : int;
 }
 
 let locked store f = Mutex.protect store.lock f
+
+(* The transition log keeps only its newest rows: a long-lived store
+   publishes without bound, and every kept row is live heap. *)
+let transition_window = 16
 
 (* ---- telemetry ---- *)
 
@@ -137,7 +142,8 @@ let quiesce_locked store =
           | None -> 0L
         in
         Telemetry.Registry.observe tele_grace_ns grace;
-        (* credit the grace period to the transition that superseded [s] *)
+        (* credit the grace period to the transition that superseded [s],
+           unless that row has already left the window *)
         match
           List.find_opt (fun tr -> tr.epoch = s.epoch + 1) store.transitions
         with
@@ -262,11 +268,13 @@ let publish b =
       store.published <- store.published + 1;
       Telemetry.Registry.bump tele_published;
       store.transitions <-
-        { epoch = snap.epoch; at_ns = now; loads = b.b_loads;
-          unloads = b.b_unloads; tail_call_updates = b.b_tc_updates;
-          vconfig_changed = b.b_vconfig_changed;
-          aconfig_changed = b.b_aconfig_changed; grace_ns = None }
-        :: store.transitions;
+        List.filteri
+          (fun i _ -> i < transition_window)
+          ({ epoch = snap.epoch; at_ns = now; loads = b.b_loads;
+             unloads = b.b_unloads; tail_call_updates = b.b_tc_updates;
+             vconfig_changed = b.b_vconfig_changed;
+             aconfig_changed = b.b_aconfig_changed; grace_ns = None }
+          :: store.transitions);
       quiesce_locked store;
       snap)
 

@@ -52,7 +52,14 @@ type transition = private {
 type store
 (** The long-lived epoch chain: current snapshot, retiring snapshots
     waiting out their grace periods, the prog-id allocator and the
-    transition log. *)
+    transition log (its newest {!transition_window} rows). *)
+
+val transition_window : int
+(** How many transition rows the store keeps: 16.  Older rows are
+    dropped at {!publish}, so a long-lived store's log is constant-size.
+    {!published} and {!retired} still count every swap, and the
+    [epoch.grace_ns] histogram still records every grace period; only the
+    per-row [grace_ns] of a dropped row is lost. *)
 
 val create_store :
   clock:Kernel_sim.Vclock.t ->
@@ -87,7 +94,7 @@ val grace_pending : store -> int
 (** Superseded snapshots still waiting out their grace period. *)
 
 val transitions : store -> transition list
-(** Oldest first. *)
+(** The newest {!transition_window} rows, oldest first. *)
 
 val pp_transition : Format.formatter -> transition -> unit
 
@@ -129,4 +136,5 @@ val aconfig : builder -> Analysis.Driver.config
 val publish : builder -> snapshot
 (** Swap epoch [N+1] in: one atomic pointer write.  The superseded
     snapshot enters its grace period (retiring immediately if nothing
-    pins it).  Bumps [epoch.published] and appends a {!transition}. *)
+    pins it).  Bumps [epoch.published] and appends a {!transition},
+    dropping the oldest row beyond {!transition_window}. *)

@@ -11,7 +11,9 @@
      region per context size, and one growable skb buffer.  Kmem regions
      are never freed on this path and lookups scan the region list, so
      without reuse a 10k-event dispatch run allocates 20k regions and ends
-     up quadratic; with reuse the address space stays constant-size. *)
+     up quadratic; with reuse the address space stays constant-size.  The
+     pool also keeps the JIT images it compiled, so a program is compiled
+     once per epoch, not once per invocation. *)
 
 module Kernel = Kernel_sim.Kernel
 module Kobject = Kernel_sim.Kobject
@@ -43,6 +45,15 @@ let default_opts =
 
 (* ---- reusable invocation context ---- *)
 
+(* One compiled image, keyed by the physical identity of what it was
+   compiled from. *)
+type jit_entry = {
+  j_prog : Program.t;
+  j_elide : int array;
+  j_bug : bool;
+  j_code : Runtime.Jit.compiled;
+}
+
 type t = {
   world : World.t;
   hctx : Hctx.t;
@@ -52,10 +63,44 @@ type t = {
      arrives; the sk_buff record itself is rebuilt per event with the
      event's length *)
   mutable skb_region : Kmem.region option;
+  (* JIT images compiled by this pool, valid for every epoch (they close
+     over [hctx], which lives as long as the pool, and the kernel's
+     memory, and a loaded program is never mutated), but flushed when the
+     pinned epoch changes so only the current epoch's programs stay
+     live *)
+  mutable jit_epoch : int;
+  mutable jit_cache : jit_entry list;
 }
 
 let create (w : World.t) =
-  { world = w; hctx = World.new_hctx w; ctx_regions = []; skb_region = None }
+  { world = w; hctx = World.new_hctx w; ctx_regions = []; skb_region = None;
+    jit_epoch = 0; jit_cache = [] }
+
+(* A pool that sees many programs without a publish flushes its JIT
+   images once it holds this many. *)
+let jit_cache_cap = 64
+
+let jit_compiled ictx ~epoch ~bug ~elide prog =
+  if ictx.jit_epoch <> epoch then begin
+    ictx.jit_epoch <- epoch;
+    ictx.jit_cache <- []
+  end;
+  match
+    List.find_opt
+      (fun j -> j.j_prog == prog && j.j_elide == elide && j.j_bug = bug)
+      ictx.jit_cache
+  with
+  | Some j -> j.j_code
+  | None ->
+    let code =
+      Runtime.Jit.compile ~bug_branch_off_by_one:bug ~elide ictx.hctx prog
+    in
+    if List.compare_length_with ictx.jit_cache jit_cache_cap >= 0 then
+      ictx.jit_cache <- [];
+    ictx.jit_cache <-
+      { j_prog = prog; j_elide = elide; j_bug = bug; j_code = code }
+      :: ictx.jit_cache;
+    code
 
 let ctx_region ictx size =
   match List.assoc_opt size ictx.ctx_regions with
@@ -290,8 +335,13 @@ let run ?(opts = default_opts) ?ictx ?snap (w : World.t)
         match
           if use_jit then begin
             let compiled =
-              Runtime.Jit.compile ~bug_branch_off_by_one:jit_branch_bug ~elide
-                hctx prog
+              match ictx with
+              | Some i ->
+                jit_compiled i ~epoch:snap.Epoch.epoch ~bug:jit_branch_bug
+                  ~elide prog
+              | None ->
+                Runtime.Jit.compile ~bug_branch_off_by_one:jit_branch_bug
+                  ~elide hctx prog
             in
             let r, n =
               Runtime.Jit.run_counted ?fuel ~ns_per_insn ~spans hctx compiled

@@ -4,7 +4,10 @@
     behaviour exactly: fresh helper context, fresh ctx/skb regions.  With a
     pooled {!t}, the helper context is reset and the ctx/skb regions are
     reused, keeping the simulated address space constant-size under a
-    serving loop ({!Dispatch}). *)
+    serving loop ({!Serve}); with [use_jit], the pool compiles each
+    program once per epoch (keyed by the program, its elision vector and
+    [jit_branch_bug]) and reuses the image, where the one-shot path
+    compiles on every call. *)
 
 type run_opts = {
   skb_payload : Bytes.t option;  (** packet to attach (socket_filter/xdp) *)

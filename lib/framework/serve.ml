@@ -59,6 +59,7 @@
 module Kernel = Kernel_sim.Kernel
 module Vclock = Kernel_sim.Vclock
 module Registry = Telemetry.Registry
+module Clock = Telemetry.Clock
 
 (* ---- engine ---- *)
 
@@ -234,8 +235,6 @@ let checksum_add acc = function
   | Invoke.Crashed _ -> Int64.add (Int64.mul acc 31L) (-2L)
   | Invoke.Exhausted _ -> Int64.add (Int64.mul acc 31L) (-3L)
 
-let host_ns () = Int64.of_float (Sys.time () *. 1e9)
-
 (* FNV-1a over the payload: the stand-in for a real flow key (5-tuple). *)
 let flow_hash (b : Bytes.t) =
   let h = ref 0xcbf29ce484222325L in
@@ -272,7 +271,7 @@ let tele_reloads = Registry.counter "dispatch.reloads"
 let tele_swap_ns = Registry.histogram "epoch.swap_ns"
 
 let run_sequential (e : engine) (p : plan) : stats =
-  let started = host_ns () in
+  let started = Clock.host_ns () in
   let invocations = ref 0 and finished = ref 0 and stopped = ref 0 in
   let crashed = ref 0 and exhausted = ref 0 and skipped = ref 0 in
   let faults_absorbed = ref 0 and quarantined = ref 0 and injected = ref 0 in
@@ -291,11 +290,12 @@ let run_sequential (e : engine) (p : plan) : stats =
   let apply_reloads i =
     List.iter
       (fun (_, rplan) ->
-        let swap_started = host_ns () in
+        let swap_started = Clock.host_ns () in
         let b = Epoch.begin_ e.world.World.epochs in
         rplan e b;
         ignore (Epoch.publish b);
-        Registry.observe tele_swap_ns (Int64.sub (host_ns ()) swap_started);
+        Registry.observe tele_swap_ns
+          (Int64.sub (Clock.host_ns ()) swap_started);
         Registry.bump tele_reloads;
         incr reloads)
       (List.filter (fun (idx, _) -> idx = i) p.reloads)
@@ -325,7 +325,7 @@ let run_sequential (e : engine) (p : plan) : stats =
      for i = 0 to p.count - 1 do
        apply_reloads i;
        Registry.bump tele_events;
-       let ev_started = host_ns () in
+       let ev_started = Clock.host_ns () in
        incr events;
        (let ep = (World.current e.world).Epoch.epoch in
         match Hashtbl.find_opt epoch_counts ep with
@@ -354,7 +354,7 @@ let run_sequential (e : engine) (p : plan) : stats =
            let ext =
              (* digest-keyed: the same image keeps its breaker history
                 across detach/re-attach and epoch swaps *)
-             Supervisor.ext e.sup ~digest:(Attach.digest a)
+             Supervisor.ext e.sup ~digest:a.Attach.digest
                ~attach_id:a.Attach.attach_id ~name
            in
            let decision =
@@ -420,10 +420,10 @@ let run_sequential (e : engine) (p : plan) : stats =
                | Isolate | Supervise _ -> contained_fault ext)))
          (Attach.attached e.attach ~hook:p.hook));
        if p.record_checksums then event_checksums.(i) <- !ev_checksum;
-       Registry.observe tele_event_ns (Int64.sub (host_ns ()) ev_started)
+       Registry.observe tele_event_ns (Int64.sub (Clock.host_ns ()) ev_started)
      done
    with Exit -> ());
-  let elapsed = Int64.sub (host_ns ()) started in
+  let elapsed = Int64.sub (Clock.host_ns ()) started in
   let rate =
     if Int64.compare elapsed 0L > 0 then
       float_of_int !events /. (Int64.to_float elapsed /. 1e9)
@@ -466,12 +466,11 @@ let run_sequential (e : engine) (p : plan) : stats =
    lazily, in boundary order, under one mutex, the first time any shard
    needs the segment; each segment's snapshot is retained until stream
    end (so it can never retire while a shard still serves it), and its
-   attachment list is materialized once, digests precomputed. *)
+   attachment list is materialized once. *)
 
 type seg_entry = {
   seg_snap : Epoch.snapshot;
-  seg_attach : (Attach.attachment * string * string) array;
-      (* (attachment, name, digest) in attach order *)
+  seg_attach : Attach.attachment array;  (* in attach order *)
 }
 
 type segctl = {
@@ -512,9 +511,7 @@ let capture_segment ctl k =
     let store = e.world.World.epochs in
     let snap = Epoch.retain store (Epoch.current store) in
     let attach =
-      Attach.attached e.attach ~hook:ctl.sc_plan.hook
-      |> List.map (fun a -> (a, Attach.name a, Attach.digest a))
-      |> Array.of_list
+      Array.of_list (Attach.attached e.attach ~hook:ctl.sc_plan.hook)
     in
     ctl.sc_entries.(k) <- Some { seg_snap = snap; seg_attach = attach }
   end
@@ -523,14 +520,14 @@ let apply_group ctl idx =
   let e = ctl.sc_engine in
   List.iter
     (fun (_, rplan) ->
-      let swap_started = host_ns () in
+      let swap_started = Clock.host_ns () in
       let b = Epoch.begin_ e.world.World.epochs in
       rplan e b;
       ignore (Epoch.publish b);
       (* name-resolved so the swap is credited to whichever shard's
          registry triggered the lazy application *)
       Registry.observe_name "epoch.swap_ns"
-        (Int64.sub (host_ns ()) swap_started);
+        (Int64.sub (Clock.host_ns ()) swap_started);
       Registry.incr_name "dispatch.reloads";
       ctl.sc_reloads <- ctl.sc_reloads + 1)
     (List.filter (fun (i, _) -> i = idx) ctl.sc_plan.reloads)
@@ -582,7 +579,7 @@ type worker_result = {
    partitioned to), so there is no cross-domain write conflict. *)
 let worker (e : engine) (p : plan) ctl queue ~(ev_sums : int64 array)
     ~(ev_counts : int array) ~(abort : bool Atomic.t) () =
-  let w_started = host_ns () in
+  let w_started = Clock.host_ns () in
   let sw = World.shard_of e.world in
   let ictx = Invoke.create sw in
   let sup = Supervisor.create ~config:(sup_config e.policy) () in
@@ -634,7 +631,7 @@ let worker (e : engine) (p : plan) ctl queue ~(ev_sums : int64 array)
   let process (i, seg, payload) =
     let { seg_snap; seg_attach } = entry_for seg in
     Registry.bump tele_events;
-    let ev_started = host_ns () in
+    let ev_started = Clock.host_ns () in
     incr events;
     (let ep = seg_snap.Epoch.epoch in
      match Hashtbl.find_opt epoch_counts ep with
@@ -659,10 +656,12 @@ let worker (e : engine) (p : plan) ctl queue ~(ev_sums : int64 array)
     Fun.protect ~finally:(fun () -> Chaos.disarm inj sw.World.bugs)
     @@ fun () ->
     Array.iter
-      (fun ((a : Attach.attachment), name, digest) ->
+      (fun (a : Attach.attachment) ->
         if not (Hashtbl.mem benched a.Attach.attach_id) then begin
+          let name = Attach.name a in
           let ext =
-            Supervisor.ext sup ~digest ~attach_id:a.Attach.attach_id ~name
+            Supervisor.ext sup ~digest:a.Attach.digest
+              ~attach_id:a.Attach.attach_id ~name
           in
           let decision =
             if supervised then
@@ -728,7 +727,7 @@ let worker (e : engine) (p : plan) ctl queue ~(ev_sums : int64 array)
       seg_attach);
     ev_sums.(i) <- !ev_checksum;
     ev_counts.(i) <- !ev_invocations;
-    Registry.observe tele_event_ns (Int64.sub (host_ns ()) ev_started)
+    Registry.observe tele_event_ns (Int64.sub (Clock.host_ns ()) ev_started)
   in
   (* Main drain loop.  After a Fail_fast abort the loop keeps draining —
      discarding events — so a Block-mode producer can never deadlock
@@ -752,7 +751,7 @@ let worker (e : engine) (p : plan) ctl queue ~(ev_sums : int64 array)
     w_faults_absorbed = !faults_absorbed;
     w_quarantined = !quarantined;
     w_injected = !injected;
-    w_host_ns = Int64.sub (host_ns ()) w_started;
+    w_host_ns = Int64.sub (Clock.host_ns ()) w_started;
     w_per_ext = Supervisor.healths sup;
     w_per_epoch =
       Hashtbl.fold (fun ep r acc -> (ep, !r) :: acc) epoch_counts []
@@ -786,7 +785,7 @@ let merge_per_epoch per_shard =
 
 let run_sharded (e : engine) (p : plan) : stats =
   let n = p.domains in
-  let started = host_ns () in
+  let started = Clock.host_ns () in
   let ctl = segctl_create e p in
   let ev_sums = Array.make (max p.count 0) 0L in
   let ev_counts = Array.make (max p.count 0) 0 in
@@ -822,7 +821,7 @@ let run_sharded (e : engine) (p : plan) : stats =
      segment pins so superseded epochs can finish their grace periods *)
   Array.iter (fun reg -> Registry.merge reg ~into:home) registries;
   release_segments ctl;
-  let elapsed = Int64.sub (host_ns ()) started in
+  let elapsed = Int64.sub (Clock.host_ns ()) started in
   let sum f = Array.fold_left (fun acc r -> acc + f r) 0 results in
   let events = sum (fun r -> r.w_events) in
   let dropped = Array.fold_left (fun acc q -> acc + Shard.dropped q) 0 queues in

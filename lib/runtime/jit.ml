@@ -231,10 +231,12 @@ let compile ?(bug_branch_off_by_one = false) ?(elide = [||]) (hctx : Hctx.t)
     | Insn.Exit -> fun st -> st.done_ <- true
   in
   (* Opcode classes are counted at compile time (the static mix of what the
-     JIT emitted).  Counting dynamically would need a per-op wrapper closure
-     — re-adding exactly the dispatch indirection the JIT exists to remove
-     (measured at ~+28% on the run loop).  Dynamic totals are still visible
-     as [jit.insns]. *)
+     JIT emitted), so [jit.op.*] moves once per compile, not per
+     invocation: a pooled invocation context compiles a program once per
+     epoch and reuses the image.  Counting dynamically would need a per-op
+     wrapper closure — re-adding exactly the dispatch indirection the JIT
+     exists to remove (measured at ~+28% on the run loop).  Dynamic totals
+     are still visible as [jit.insns]. *)
   Array.iter (fun insn -> Telemetry.Registry.incr (op_counter insn)) prog.Program.insns;
   { prog; ops = Array.mapi compile_one prog.Program.insns;
     bug_branch_off_by_one }

@@ -80,9 +80,9 @@ let crasher_items =
 
 (* A stateless serving population — per-event outcomes depend only on the
    payload, the scope the determinism contract is stated for. *)
-let build_serve_engine () =
+let build_serve_engine ?opts () =
   let world = World.create_populated () in
-  let engine = Serve.create world in
+  let engine = Serve.create ?opts world in
   List.iter
     (fun (name, items) ->
       match Pipeline.load_ebpf world (prog ~name items) with

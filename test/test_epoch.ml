@@ -62,6 +62,19 @@ let test_builder_publish () =
     Alcotest.(check bool) "t2 grace recorded" true (t2.Epoch.grace_ns <> None)
   | l -> Alcotest.failf "expected 2 transitions, got %d" (List.length l)
 
+let test_transition_window () =
+  let world = World.create_populated () in
+  let store = world.World.epochs in
+  for _ = 1 to 100 do
+    ignore (World.reconfigure world (fun _ -> ()))
+  done;
+  Alcotest.(check int) "every publish counted" 100 (Epoch.published store);
+  Alcotest.(check int) "every retirement counted" 100 (Epoch.retired store);
+  Alcotest.(check (list int)) "the newest 16 rows, contiguous"
+    (List.init 16 (fun i -> 86 + i))
+    (List.map (fun (t : Epoch.transition) -> t.Epoch.epoch)
+       (Epoch.transitions store))
+
 let test_builder_single_shot () =
   let world = World.create_populated () in
   let b = Epoch.begin_ world.World.epochs in
@@ -277,6 +290,8 @@ let suite =
   [
     Alcotest.test_case "builder stages, publish swaps" `Quick test_builder_publish;
     Alcotest.test_case "builder is single-shot" `Quick test_builder_single_shot;
+    Alcotest.test_case "transition log keeps the newest 16 rows" `Quick
+      test_transition_window;
     Alcotest.test_case "failed load publishes nothing" `Quick
       test_failed_load_publishes_nothing;
     Alcotest.test_case "pin blocks retirement, unpin retires" `Quick

@@ -1,8 +1,9 @@
 (* Serve tests: the sharded determinism oracle (N-domain sharded ≡
    1-domain sharded ≡ sequential, for stateless filter populations under
    Isolate), plan validation, queue overflow accounting, cross-domain
-   epoch grace, and the telemetry registry merge the shard barrier
-   relies on. *)
+   epoch grace, the telemetry registry merge the shard barrier relies
+   on, and the per-attachment work done once rather than per event (the
+   content digest at attach, JIT images once per epoch). *)
 
 open Untenable
 module World = Framework.World
@@ -11,12 +12,140 @@ module Shard = Framework.Shard
 module Epoch = Framework.Epoch
 module Chaos = Framework.Chaos
 module Supervisor = Framework.Supervisor
+module Attach = Framework.Attach
+module Invoke = Framework.Invoke
+module Pipeline = Framework.Pipeline
 open Ebpf.Asm
 
 (* The stateless three-filter engine, the hot-reload hook and the reload
    schedule all live in the shared scaffolding. *)
 let build_engine = Generators.build_serve_engine
 let reload_schedule = Generators.reload_schedule
+
+(* ---------------- per-attachment work, done once ---------------- *)
+
+let jit_compiles () =
+  Telemetry.Counter.value (Telemetry.Registry.counter "jit.compiles")
+
+(* Telemetry can be switched off by other tests; these read a counter. *)
+let with_telemetry f =
+  let was = Telemetry.Registry.enabled () in
+  Telemetry.Registry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Telemetry.Registry.set_enabled was) f
+
+let test_digest_at_attach () =
+  let engine = Generators.build_dispatch_engine ~with_crasher:true () in
+  let reg = engine.Serve.attach in
+  List.iter
+    (fun (a : Attach.attachment) ->
+      Alcotest.(check bool) "digest is stored, not recomputed" true
+        (Attach.digest a == Attach.digest a);
+      match a.Attach.loaded with
+      | Pipeline.Ebpf_prog { prog; _ } ->
+        Alcotest.(check string) "digest of the loaded image"
+          (Ebpf.Program.digest prog) (Attach.digest a)
+      | Pipeline.Rustlite_ext _ -> Alcotest.fail "expected eBPF attachments")
+    (Attach.attached reg ~hook:"xdp");
+  let ext =
+    Result.get_ok
+      (Rustlite.Toolchain.compile
+         { Rustlite.Toolchain.name = "one"; maps = [];
+           body = Rustlite.Ast.Lit_int 1L })
+  in
+  let a =
+    match Pipeline.load_rustlite engine.Serve.world ext with
+    | Ok l -> Attach.attach reg ~hook:"tp" l
+    | Error e -> Alcotest.failf "%a" Pipeline.pp_error e
+  in
+  Alcotest.(check string) "digest of the signed artifact"
+    (Rustlite.Toolchain.artifact_digest ext) (Attach.digest a)
+
+let test_reattach_keeps_breaker () =
+  let engine =
+    Generators.build_dispatch_engine
+      ~policy:(Serve.Supervise Supervisor.default_config) ~with_crasher:true ()
+  in
+  let reg = engine.Serve.attach in
+  let run count =
+    ignore (Serve.run engine (Serve.plan ~size:32 ~hook:"xdp" ~count ()))
+  in
+  let crasher = List.hd (Attach.attached reg ~hook:"xdp") in
+  let record (a : Attach.attachment) =
+    Supervisor.ext engine.Serve.sup ~digest:(Attach.digest a)
+      ~attach_id:a.Attach.attach_id ~name:(Attach.name a)
+  in
+  run 5;
+  let before = record crasher in
+  Alcotest.(check bool) "breaker tripped" true (before.Supervisor.trips > 0);
+  Alcotest.(check bool) "detached" true
+    (Attach.detach reg ~attach_id:crasher.Attach.attach_id);
+  let again = Attach.attach reg ~hook:"xdp" crasher.Attach.loaded in
+  Alcotest.(check bool) "new attach id" true
+    (again.Attach.attach_id <> crasher.Attach.attach_id);
+  Alcotest.(check string) "same digest" (Attach.digest crasher)
+    (Attach.digest again);
+  run 1;
+  let after = record again in
+  Alcotest.(check bool) "same breaker record" true (after == before);
+  Alcotest.(check int) "record rebound to the new attach id"
+    again.Attach.attach_id after.Supervisor.attach_id;
+  Alcotest.(check int) "no second record" 3
+    (List.length (Supervisor.exts engine.Serve.sup))
+
+(* A publish that leaves the attachments as they are. *)
+let keep_filters _ b =
+  Epoch.set_tail_call b ~index:7 ~prog_id:1
+
+let test_jit_compiles_once_per_epoch () =
+  with_telemetry @@ fun () ->
+  let run ~use_jit =
+    let engine =
+      Generators.build_serve_engine
+        ~opts:{ Invoke.default_opts with Invoke.use_jit } ()
+    in
+    Serve.run engine
+      (Serve.plan ~seed:11L ~size:48
+         ~reloads:[ (50, keep_filters); (150, keep_filters) ]
+         ~hook:"xdp" ~count:200 ())
+  in
+  let interp = run ~use_jit:false in
+  let c0 = jit_compiles () in
+  let jit = run ~use_jit:true in
+  Alcotest.(check int) "two reloads applied" 2 jit.Serve.totals.Serve.reloads;
+  Alcotest.(check int) "3 filters x 3 epochs" 9 (jit_compiles () - c0);
+  Alcotest.(check int64) "JIT serves what the interpreter serves"
+    interp.Serve.totals.Serve.ret_checksum jit.Serve.totals.Serve.ret_checksum
+
+(* The CVE-2021-29154 shape: with the branch bug the backward jump lands
+   one instruction short and the loop never ends. *)
+let test_jit_cache_keeps_branch_bug () =
+  with_telemetry @@ fun () ->
+  let world = World.create_populated () in
+  let loaded =
+    Generators.load world "loop" ~prog_type:Ebpf.Program.Kprobe
+      [ mov_i r0 0; mov_i r6 5; label "l"; add_i r0 1; sub_i r6 1;
+        jne_i r6 0 "l"; exit_ ]
+  in
+  let ictx = Invoke.create world in
+  let run jit_branch_bug =
+    let opts =
+      { Invoke.default_opts with
+        Invoke.use_jit = true; jit_branch_bug; fuel = Some 10_000L }
+    in
+    (Invoke.run ~opts ~ictx world loaded).Invoke.outcome
+  in
+  let c0 = jit_compiles () in
+  let clean () =
+    match run false with
+    | Invoke.Finished 5L -> ()
+    | o -> Alcotest.failf "clean JIT: %a" Invoke.pp_outcome o
+  in
+  clean ();
+  (match run true with
+  | Invoke.Exhausted (Invoke.Fuel, _) -> ()
+  | o -> Alcotest.failf "buggy JIT should hang, got %a" Invoke.pp_outcome o);
+  clean ();
+  Alcotest.(check int) "one image per flag value" 2 (jit_compiles () - c0)
 
 (* ---------------- the determinism oracle ---------------- *)
 
@@ -275,4 +404,12 @@ let suite =
     Alcotest.test_case "registry merge" `Quick test_registry_merge;
     Alcotest.test_case "ring merge drop accounting" `Quick test_ring_merge_drops;
     Alcotest.test_case "scorecard merge" `Quick test_merge_healths;
+    Alcotest.test_case "digest computed once, at attach" `Quick
+      test_digest_at_attach;
+    Alcotest.test_case "re-attach keeps digest and breaker" `Quick
+      test_reattach_keeps_breaker;
+    Alcotest.test_case "JIT compiles once per epoch" `Quick
+      test_jit_compiles_once_per_epoch;
+    Alcotest.test_case "JIT cache keyed by the branch-bug flag" `Quick
+      test_jit_cache_keeps_branch_bug;
   ]
