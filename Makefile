@@ -91,7 +91,7 @@ profile-smoke:
 
 # Sharded-serving determinism gate: a 4-domain run (coordinator, bounded
 # queues, shard worlds, checksum reconstruction) must agree with the
-# sequential loop event for event, calm and across mid-stream reloads.
+# inline 1-domain run event for event, calm and across mid-stream reloads.
 # Speedup is NOT gated here — wall-clock scaling needs real cores and is
 # reported by `dune exec bench/main.exe -- parallel`.
 parallel-smoke:
@@ -122,11 +122,18 @@ fuzz-smoke:
 	  2> /dev/null
 	@echo "fuzz-smoke: OK"
 
-# Serving-path gate: a short run of the benchmark's JIT workload (JIT
-# images cached per epoch, one hot reload per 64-event burst) must serve
-# every burst with the checksum of the interpreter reference replay.
+# Serving-path gate: short runs of the benchmark's two serving workloads
+# must serve every burst with the checksum of the interpreter reference
+# replay.  serve-interp drives the inline server over a single segment
+# with no reload; serve-jit-reload adds JIT images cached per epoch and
+# one hot reload per 64-event burst.
 serve-smoke:
 	dune build @all
+	dune exec --root . --display quiet -- ./perfbench/main.exe \
+	  --workload serve-interp --seed 7 --seconds 2 --trace 0 \
+	  > /tmp/serve_smoke_interp.out
+	tail -n 1 /tmp/serve_smoke_interp.out | grep -q '"correct": true'
+	tail -n 1 /tmp/serve_smoke_interp.out | grep -q '"failed": 0,'
 	dune exec --root . --display quiet -- ./perfbench/main.exe \
 	  --workload serve-jit-reload --seed 7 --seconds 2 --trace 0 \
 	  > /tmp/serve_smoke.out

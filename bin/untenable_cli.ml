@@ -262,12 +262,12 @@ let attach_filters ?(with_helper = false) engine ~filters =
        ("parity", [ ldxw r6 r1 0; mov_r r0 r6; and_i r0 1; exit_ ]);
        ("proto", [ ldxw r0 r1 4; exit_ ]) |]
   in
-  let world = engine.Framework.Dispatch.world in
+  let world = engine.Serve.world in
   let load name prog_type items =
     let prog = Ebpf.Program.of_items_exn ~name ~prog_type items in
     match Framework.Pipeline.load_ebpf world prog with
     | Ok loaded ->
-      ignore (Framework.Attach.attach engine.Framework.Dispatch.attach ~hook:"xdp" loaded)
+      ignore (Framework.Attach.attach engine.Serve.attach ~hook:"xdp" loaded)
     | Error e ->
       Format.eprintf "load failed: %a@." Framework.Pipeline.pp_error e;
       exit 1
@@ -314,7 +314,7 @@ let dispatch_cmd =
     | None -> ());
     let world = Framework.World.create_populated () in
     let opts = { Framework.Invoke.default_opts with Framework.Invoke.use_jit = jit } in
-    let engine = Framework.Dispatch.create ~opts world in
+    let engine = Serve.create ~opts world in
     attach_filters engine ~filters;
     Printf.printf "loaded programs:\n";
     List.iter
@@ -332,8 +332,8 @@ let dispatch_cmd =
         Printf.printf "hook %s:\n" hook;
         List.iter
           (fun a -> Printf.printf "  %s\n" (Framework.Attach.describe a))
-          (Framework.Attach.attached engine.Framework.Dispatch.attach ~hook))
-      (Framework.Attach.hooks engine.Framework.Dispatch.attach);
+          (Framework.Attach.attached engine.Serve.attach ~hook))
+      (Framework.Attach.hooks engine.Serve.attach);
     let stats =
       Serve.run engine (Serve.plan ~seed ~size ~hook:"xdp" ~count:events ())
     in
@@ -374,26 +374,26 @@ let supervise_cmd =
     let world = Framework.World.create_populated () in
     let policy =
       match policy_name with
-      | `Fail_fast -> Framework.Dispatch.Fail_fast
-      | `Isolate -> Framework.Dispatch.Isolate
+      | `Fail_fast -> Serve.Fail_fast
+      | `Isolate -> Serve.Isolate
       | `Supervise ->
         (* a cooldown short enough to see quarantine inside one stream *)
-        Framework.Dispatch.Supervise
+        Serve.Supervise
           { Framework.Supervisor.default_config with
             Framework.Supervisor.cooldown_ns = 100L;
             max_cooldown_ns = 1_000L }
     in
-    let engine = Framework.Dispatch.create ~policy world in
+    let engine = Serve.create ~policy world in
     let open Ebpf.Asm in
     let h = Helpers.Registry.id_of_name in
     let attach name ~prog_type items =
       let prog = Ebpf.Program.of_items_exn ~name ~prog_type items in
-      match Framework.Loader.load_ebpf world prog with
+      match Framework.Pipeline.load_ebpf world prog with
       | Ok loaded ->
         ignore
-          (Framework.Attach.attach engine.Framework.Dispatch.attach ~hook:"xdp" loaded)
+          (Framework.Attach.attach engine.Serve.attach ~hook:"xdp" loaded)
       | Error e ->
-        Format.eprintf "load failed: %a@." Framework.Loader.pp_load_error e;
+        Format.eprintf "load failed: %a@." Framework.Pipeline.pp_error e;
         exit 1
     in
     if not no_crasher then begin
@@ -489,17 +489,17 @@ let supervise_cmd =
 let serve_cmd =
   let run events reloads filters size seed domains =
     let world = Framework.World.create_populated () in
-    let engine = Framework.Dispatch.create world in
+    let engine = Serve.create world in
     attach_filters engine ~filters;
     (* the scripted reload schedule: at evenly spaced event boundaries,
        alternately hot-load + attach a fresh filter (verified inside the
        swap, staged on the epoch builder) and unload + detach the previous
        hot one — both publish exactly one epoch *)
     let last_hot = ref None in
-    let plan k (e : Framework.Dispatch.engine) b =
+    let plan k (e : Serve.engine) b =
       match !last_hot with
       | Some (attach_id, prog_id) when k mod 2 = 1 ->
-        ignore (Framework.Attach.detach e.Framework.Dispatch.attach ~attach_id);
+        ignore (Framework.Attach.detach e.Serve.attach ~attach_id);
         ignore (Framework.Epoch.unload b ~prog_id);
         last_hot := None
       | _ -> (
@@ -513,7 +513,7 @@ let serve_cmd =
         match Framework.Pipeline.load_ebpf ~into:b world prog with
         | Ok (Framework.Pipeline.Ebpf_prog { prog_id; _ } as loaded) ->
           let a =
-            Framework.Attach.attach e.Framework.Dispatch.attach ~hook:"xdp" loaded
+            Framework.Attach.attach e.Serve.attach ~hook:"xdp" loaded
           in
           last_hot := Some (a.Framework.Attach.attach_id, prog_id)
         | Ok _ -> ()
@@ -615,9 +615,9 @@ let serve_cmd =
       value & opt int 1
       & info [ "domains" ] ~docv:"N"
           ~doc:
-            "Serving domains: 1 runs the historical sequential loop, >1 shards \
-             the stream across $(docv) OCaml domains over shared epoch \
-             snapshots.")
+            "Serving domains: 1 serves inline on the calling domain, >1 \
+             shards the stream across $(docv) OCaml domains over shared \
+             epoch snapshots.")
   in
   Cmd.v
     (Cmd.info "serve"
@@ -634,7 +634,7 @@ let serve_cmd =
 let run_profiled ~filters ~events ~size ~seed ~jit ~period_ns =
   let world = Framework.World.create_populated () in
   let opts = { Framework.Invoke.default_opts with Framework.Invoke.use_jit = jit } in
-  let engine = Framework.Dispatch.create ~opts world in
+  let engine = Serve.create ~opts world in
   attach_filters ~with_helper:true engine ~filters;
   Telemetry.Profiler.reset ();
   Telemetry.Profiler.set_period period_ns;
@@ -756,13 +756,13 @@ let top_cmd =
   let run events chaos_rate no_crasher jit =
     let world = Framework.World.create_populated () in
     let policy =
-      Framework.Dispatch.Supervise
+      Serve.Supervise
         { Framework.Supervisor.default_config with
           Framework.Supervisor.cooldown_ns = 100L;
           max_cooldown_ns = 1_000L }
     in
     let opts = { Framework.Invoke.default_opts with Framework.Invoke.use_jit = jit } in
-    let engine = Framework.Dispatch.create ~policy ~opts world in
+    let engine = Serve.create ~policy ~opts world in
     let open Ebpf.Asm in
     let h = Helpers.Registry.id_of_name in
     let attach name ~prog_type items =
@@ -770,7 +770,7 @@ let top_cmd =
       match Framework.Pipeline.load_ebpf world prog with
       | Ok loaded ->
         ignore
-          (Framework.Attach.attach engine.Framework.Dispatch.attach ~hook:"xdp" loaded)
+          (Framework.Attach.attach engine.Serve.attach ~hook:"xdp" loaded)
       | Error e ->
         Format.eprintf "load failed: %a@." Framework.Pipeline.pp_error e;
         exit 1
@@ -1156,9 +1156,9 @@ let rl_run_cmd =
         exit 1
       | Ok ext -> (
         let world = Framework.World.create_populated () in
-        match Framework.Loader.load_rustlite world ext with
+        match Framework.Pipeline.load_rustlite world ext with
         | Error e ->
-          Format.printf "load failed: %a@." Framework.Loader.pp_load_error e;
+          Format.printf "load failed: %a@." Framework.Pipeline.pp_error e;
           exit 1
         | Ok loaded ->
           let opts =
@@ -1168,10 +1168,10 @@ let rl_run_cmd =
             }
           in
           let report = Framework.Invoke.run ~opts world loaded in
-          List.iter (Printf.printf "trace: %s\n") report.Framework.Loader.trace;
-          Format.printf "%a@.kernel: %a@." Framework.Loader.pp_outcome
-            report.Framework.Loader.outcome Kernel_sim.Kernel.pp_health
-            report.Framework.Loader.health))
+          List.iter (Printf.printf "trace: %s\n") report.Framework.Invoke.trace;
+          Format.printf "%a@.kernel: %a@." Framework.Invoke.pp_outcome
+            report.Framework.Invoke.outcome Kernel_sim.Kernel.pp_health
+            report.Framework.Invoke.health))
   in
   let src = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE|SOURCE") in
   let wall =

@@ -37,11 +37,11 @@
     {[
       let world = Untenable.Framework.World.create_populated () in
       let prog = (* build with Untenable.Ebpf.Asm *) ... in
-      match Untenable.Framework.Loader.load_ebpf world prog with
+      match Untenable.Framework.Pipeline.load_ebpf world prog with
       | Ok loaded ->
         let report = Untenable.Framework.Invoke.run world loaded in
-        Format.printf "%a@." Untenable.Framework.Loader.pp_outcome report.outcome
-      | Error e -> Format.printf "%a@." Untenable.Framework.Loader.pp_load_error e
+        Format.printf "%a@." Untenable.Framework.Invoke.pp_outcome report.outcome
+      | Error e -> Format.printf "%a@." Untenable.Framework.Pipeline.pp_error e
     ]} *)
 
 module Tnum = Tnum

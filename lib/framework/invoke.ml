@@ -2,10 +2,10 @@
 
    Two modes share one code path:
 
-   - one-shot (the historical Loader.run behaviour): a fresh helper context
-     and fresh ctx/skb regions per invocation.  Exploit demos depend on the
-     exact allocation pattern (an OOB write lands in a *new* region), so
-     this stays byte-for-byte what it was.
+   - one-shot (no [t]): a fresh helper context and fresh ctx/skb regions
+     per invocation.  Exploit demos depend on the exact allocation pattern
+     (an OOB write lands in a *new* region), so this stays byte-for-byte
+     what it was.
 
    - pooled (a [t]): a serving loop reuses one helper context, one ctx
      region per context size, and one growable skb buffer.  Kmem regions

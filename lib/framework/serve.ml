@@ -1,50 +1,56 @@
-(* The serving engine: one consolidated plan API over two execution
-   strategies.
+(* The serving engine: one plan API, one per-event server, two drivers.
 
-   This module owns what Dispatch.run_stream's optional-argument pile
-   used to describe: the shape of one served stream (hook, event count,
-   generator, chaos schedule, reload schedule, sharding) is a [plan]
-   value built by smart constructors, and [run] executes it —
-   sequentially on the calling domain when [plan.domains = 1] (the exact
-   historical run_stream semantics), or sharded across N OCaml domains
-   otherwise.
+   The shape of one served stream (hook, event count, generator, chaos
+   schedule, reload schedule, sharding) is a [plan] value built by smart
+   constructors, and [run] executes it.  Every event, however it is
+   driven, goes through the same [server]: it fans the event out to the
+   segment's attachments under supervision and folds each outcome into
+   the event's own slot.
 
-   ---- sharding model ----
+   ---- two drivers ----
 
-   The coordinator walks the synthetic event stream in original order
-   (the generator is stateful, so order is identity), partitions each
-   event to a shard by flow hash (or round robin) and enqueues it on that
-   shard's bounded queue (Shard).  Each shard domain owns a *private*
-   machine: a shard World (fresh simulated kernel, the map topology
-   recreated with shard-local storage, a copy of the bug database — see
-   World.shard_of), a private pooled invocation context, a private
-   Supervisor, and a private Telemetry.Registry installed domain-locally
-   so every instrumentation site that runs on the shard lands in it.
+   - inline ([run] with [plan.domains = 1]): the calling domain walks the
+     stream and calls the server directly — no queue, no extra domain —
+     on the engine's own world, invocation context and supervisor, so
+     supervision state and quarantine detaches carry across runs on one
+     engine.
+   - sharded ([domains > 1], or [sharded] for any count): the calling
+     domain is the coordinator.  It walks the stream in original order
+     (the generator is stateful, so order is identity), partitions each
+     event to a shard by flow hash (or round robin) and enqueues it on
+     that shard's bounded queue (Shard).  Each shard domain runs a server
+     over a *private* machine: a shard World (fresh simulated kernel, the
+     map topology recreated with shard-local storage, a copy of the bug
+     database — see World.shard_of), a private pooled invocation context,
+     a private Supervisor, and a private Telemetry.Registry installed
+     domain-locally and folded into the caller's at the barrier.
+     Quarantine benches an extension on that shard only.
 
-   What shards *share* is exactly the published program state: the base
-   world's epoch chain.  Mid-stream reloads still work — the stream is
-   cut into segments at the distinct reload boundaries, and a
-   segment-control table (one mutex) lazily applies reload groups in
-   boundary order the first time any shard needs a segment, capturing
-   that segment's published snapshot (retained until stream end) and its
-   materialized attachment list.  Every invocation pins its segment's
-   snapshot (Invoke.run ?snap), so the epoch grace period cannot close
-   while any shard still serves events under a superseded epoch.
+   ---- segments and epochs ----
+
+   What both drivers share is the published program state: the base
+   world's epoch chain.  The stream is cut into segments at the distinct
+   reload boundaries, and a segment-control table (one mutex) lazily
+   applies reload groups in boundary order the first time a server needs
+   a segment, capturing that segment's published snapshot and its
+   attachment list.  Every invocation pins its segment's snapshot
+   (Invoke.run ?snap).  Each captured snapshot stays retained until the
+   stream ends, so a superseded epoch retires when its segment's pin is
+   released at stream end, on either driver.
 
    ---- determinism ----
 
    Per-event work is deterministic in the ORIGINAL event index: the
-   generator is consumed in order by the coordinator, chaos injection is
-   a pure function of (seed, index), and each event's outcome fold is
-   written to a slot private to its index.  The sequential stream
-   checksum is then reconstructed exactly: with k_i invocations folding
-   to e_i on event i,
+   generator is consumed in order by the driver, chaos injection is a
+   pure function of (seed, index), and each event's outcome fold is
+   written to a slot private to its index.  The stream checksum is then
+   reconstructed from the slots: with k_i invocations folding to e_i on
+   event i,
 
      g_i = g_{i-1} * 31^{k_i} + e_i
 
-   recombines the per-event folds into the same order-sensitive value the
-   sequential loop computes — so N shards, 1 shard and the sequential
-   path all agree, for any N (the qcheck oracle asserts this).
+   so N shards, 1 shard and the inline driver all agree, for any N (the
+   qcheck oracle asserts this).
 
    The guarantee is scoped honestly: it holds for extensions whose
    per-event outcome does not read simulation state mutated by *other*
@@ -53,7 +59,7 @@
    breaker state evolves per shard in shard-local observation order, so
    scorecards are per-shard honest but not shard-count invariant; the
    oracle therefore runs under [Isolate].  [Fail_fast] sharded is a
-   best-effort broadcast abort, not an exact replay of the sequential
+   best-effort broadcast abort, not an exact replay of the inline
    prefix. *)
 
 module Kernel = Kernel_sim.Kernel
@@ -197,7 +203,7 @@ type stats = {
   totals : totals;
   per_ext : Supervisor.health list;
       (* digest-keyed merge of the per-shard scorecards *)
-  per_shard : shard_stats list;  (* ascending shard index; [] sequential *)
+  per_shard : shard_stats list;  (* ascending shard index; [] inline *)
   event_checksums : int64 array;
       (* per-event outcome folds at original indices (record_checksums) *)
 }
@@ -251,221 +257,15 @@ let shard_for p ~nshards ~index payload =
   | Round_robin -> index mod nshards
   | Flow_hash -> flow_hash payload mod nshards
 
-(* ---- sequential execution (plan.domains = 1) ----
-
-   The historical Dispatch.run_stream loop, verbatim in behaviour: runs on
-   the calling domain, against the engine's own world/ictx/supervisor, so
-   supervision state accumulates across successive runs on one engine. *)
-
-let tele_events = Registry.counter "dispatch.events"
-let tele_invocations = Registry.counter "dispatch.invocations"
-let tele_crashes = Registry.counter "dispatch.crashes"
-let tele_stops = Registry.counter "dispatch.stops"
-let tele_exhausted = Registry.counter "dispatch.exhausted"
-let tele_skipped = Registry.counter "dispatch.skipped"
-let tele_absorbed = Registry.counter "dispatch.faults_absorbed"
-let tele_event_ns = Registry.histogram "dispatch.event_ns"
-let tele_event_span_ns = Registry.histogram "dispatch.event.ns"
-let tele_rate = Registry.counter "dispatch.events_per_sec"
-let tele_reloads = Registry.counter "dispatch.reloads"
-let tele_swap_ns = Registry.histogram "epoch.swap_ns"
-
-let run_sequential (e : engine) (p : plan) : stats =
-  let started = Clock.host_ns () in
-  let invocations = ref 0 and finished = ref 0 and stopped = ref 0 in
-  let crashed = ref 0 and exhausted = ref 0 and skipped = ref 0 in
-  let faults_absorbed = ref 0 and quarantined = ref 0 and injected = ref 0 in
-  let checksum = ref 0L in
-  let events = ref 0 in
-  let reloads = ref 0 in
-  let epoch_counts : (int, int ref) Hashtbl.t = Hashtbl.create 4 in
-  let event_checksums =
-    if p.record_checksums then Array.make (max p.count 0) 0L else [||]
-  in
-  (* Apply every reload plan scheduled for event boundary [i]: stage on a
-     fresh builder, publish atomically, measure the swap on the host
-     clock.  In-flight pins are impossible here (we are between events),
-     but the grace-period machinery still runs — a superseded epoch held
-     by an explicit pin outlives the swap untouched. *)
-  let apply_reloads i =
-    List.iter
-      (fun (_, rplan) ->
-        let swap_started = Clock.host_ns () in
-        let b = Epoch.begin_ e.world.World.epochs in
-        rplan e b;
-        ignore (Epoch.publish b);
-        Registry.observe tele_swap_ns
-          (Int64.sub (Clock.host_ns ()) swap_started);
-        Registry.bump tele_reloads;
-        incr reloads)
-      (List.filter (fun (idx, _) -> idx = i) p.reloads)
-  in
-  let kernel = e.world.World.kernel in
-  let supervised = match e.policy with Supervise _ -> true | _ -> false in
-  (* A contained fault: revive already happened (crash) or was unnecessary
-     (exhaustion); charge the breaker and quarantine on its verdict. *)
-  let contained_fault ext =
-    incr faults_absorbed;
-    Registry.bump tele_absorbed;
-    if supervised then begin
-      let now = Vclock.now kernel.Kernel.clock in
-      match Supervisor.observe_fault e.sup ext ~now_ns:now with
-      | Supervisor.Quarantine ->
-        ignore (Attach.detach e.attach ~attach_id:ext.Supervisor.attach_id);
-        incr quarantined
-      | Supervisor.Tripped _ | Supervisor.No_change -> ()
-    end
-  in
-  (* Each event runs under a fresh causal trace on the simulated clock:
-     dispatch.event > dispatch.<ext> > loader.run > interp/jit.run, with
-     supervisor and chaos points landing inside whichever span was open
-     when they fired. *)
-  let vnow () = Vclock.now kernel.Kernel.clock in
-  (try
-     for i = 0 to p.count - 1 do
-       apply_reloads i;
-       Registry.bump tele_events;
-       let ev_started = Clock.host_ns () in
-       incr events;
-       (let ep = (World.current e.world).Epoch.epoch in
-        match Hashtbl.find_opt epoch_counts ep with
-        | Some r -> incr r
-        | None -> Hashtbl.add epoch_counts ep (ref 1));
-       let ev_checksum = ref 0L in
-       (Registry.with_trace (Registry.fresh_trace ())
-       @@ fun () ->
-       Registry.with_span "dispatch.event" ~hist:tele_event_span_ns ~clock:vnow
-       @@ fun () ->
-       let inj =
-         match p.chaos with
-         | None -> Chaos.Calm
-         | Some c -> Chaos.injection c ~event:i
-       in
-       if inj <> Chaos.Calm then incr injected;
-       let opts =
-         Chaos.apply_opts inj { e.opts with Invoke.skb_payload = Some (p.gen i) }
-       in
-       Chaos.arm inj e.world.World.bugs;
-       Fun.protect ~finally:(fun () -> Chaos.disarm inj e.world.World.bugs)
-       @@ fun () ->
-       List.iter
-         (fun (a : Attach.attachment) ->
-           let name = Attach.name a in
-           let ext =
-             (* digest-keyed: the same image keeps its breaker history
-                across detach/re-attach and epoch swaps *)
-             Supervisor.ext e.sup ~digest:a.Attach.digest
-               ~attach_id:a.Attach.attach_id ~name
-           in
-           let decision =
-             if supervised then
-               Supervisor.decide e.sup ext
-                 ~now_ns:(Vclock.now kernel.Kernel.clock)
-             else Supervisor.Execute
-           in
-           Registry.with_span ("dispatch." ^ name) ~clock:vnow
-           @@ fun () ->
-           match decision with
-           | Supervisor.Skip ->
-             (* breaker open / quarantined: fast-fail, span still closes *)
-             Registry.point "dispatch.skip"
-               ~value:(Int64.of_int a.Attach.attach_id);
-             Supervisor.observe_skip ext;
-             incr skipped;
-             Registry.bump tele_skipped
-           | Supervisor.Execute | Supervisor.Probe ->
-             Registry.bump tele_invocations;
-             let inv_started = Vclock.now kernel.Kernel.clock in
-             let r = Invoke.run ~opts ~ictx:e.ictx e.world a.Attach.loaded in
-             (* scorecard latency: Vclock cost of this invocation,
-                recorded whether or not tracing retained the spans *)
-             Registry.observe ext.Supervisor.lat
-               (Int64.sub (Vclock.now kernel.Kernel.clock) inv_started);
-             incr invocations;
-             ext.Supervisor.invocations <- ext.Supervisor.invocations + 1;
-             checksum := checksum_add !checksum r.Invoke.outcome;
-             ev_checksum := checksum_add !ev_checksum r.Invoke.outcome;
-             ext.Supervisor.ret_checksum <-
-               checksum_add ext.Supervisor.ret_checksum r.Invoke.outcome;
-             (match r.Invoke.outcome with
-             | Invoke.Finished _ ->
-               incr finished;
-               ext.Supervisor.finished <- ext.Supervisor.finished + 1;
-               if supervised then
-                 Supervisor.observe_ok e.sup ext
-                   ~now_ns:(Vclock.now kernel.Kernel.clock)
-             | Invoke.Stopped _ ->
-               (* a language panic is a clean self-stop, not a fault *)
-               Registry.bump tele_stops;
-               incr stopped;
-               ext.Supervisor.stopped <- ext.Supervisor.stopped + 1;
-               if supervised then
-                 Supervisor.observe_ok e.sup ext
-                   ~now_ns:(Vclock.now kernel.Kernel.clock)
-             | Invoke.Crashed _ -> (
-               Registry.bump tele_crashes;
-               incr crashed;
-               ext.Supervisor.crashed <- ext.Supervisor.crashed + 1;
-               match e.policy with
-               | Fail_fast -> raise Exit
-               | Isolate | Supervise _ ->
-                 ignore (Kernel.revive kernel);
-                 contained_fault ext)
-             | Invoke.Exhausted _ ->
-               Registry.bump tele_exhausted;
-               incr exhausted;
-               ext.Supervisor.exhausted <- ext.Supervisor.exhausted + 1;
-               (match e.policy with
-               | Fail_fast -> ()  (* guards cleaned up; keep serving *)
-               | Isolate | Supervise _ -> contained_fault ext)))
-         (Attach.attached e.attach ~hook:p.hook));
-       if p.record_checksums then event_checksums.(i) <- !ev_checksum;
-       Registry.observe tele_event_ns (Int64.sub (Clock.host_ns ()) ev_started)
-     done
-   with Exit -> ());
-  let elapsed = Int64.sub (Clock.host_ns ()) started in
-  let rate =
-    if Int64.compare elapsed 0L > 0 then
-      float_of_int !events /. (Int64.to_float elapsed /. 1e9)
-    else 0.
-  in
-  (* export the latest stream's throughput (counter-as-gauge) *)
-  Telemetry.Counter.reset tele_rate;
-  Registry.incr tele_rate ~n:(int_of_float rate);
-  let totals =
-    {
-      events = !events;
-      invocations = !invocations;
-      finished = !finished;
-      stopped = !stopped;
-      crashed = !crashed;
-      exhausted = !exhausted;
-      skipped = !skipped;
-      faults_absorbed = !faults_absorbed;
-      quarantined = !quarantined;
-      injected = !injected;
-      dropped = 0;
-      reloads = !reloads;
-      ret_checksum = !checksum;
-      host_ns = elapsed;
-      events_per_sec = rate;
-      per_epoch =
-        Hashtbl.fold (fun ep r acc -> (ep, !r) :: acc) epoch_counts []
-        |> List.sort (fun (a, _) (b, _) -> Int.compare a b);
-    }
-  in
-  { domains = 1; totals; per_ext = Supervisor.healths e.sup; per_shard = [];
-    event_checksums }
-
-(* ---- sharded execution ---- *)
+(* ---- segment control ---- *)
 
 (* Segment control: the stream cut at the distinct reload boundaries.
    Segment [s] is the run of events between boundary [s-1] (inclusive)
    and boundary [s] (exclusive); its world view is the snapshot published
    after applying the first [s] reload groups.  Groups are applied
-   lazily, in boundary order, under one mutex, the first time any shard
+   lazily, in boundary order, under one mutex, the first time any server
    needs the segment; each segment's snapshot is retained until stream
-   end (so it can never retire while a shard still serves it), and its
+   end (so it can never retire while a server still serves it), and its
    attachment list is materialized once. *)
 
 type seg_entry = {
@@ -524,8 +324,8 @@ let apply_group ctl idx =
       let b = Epoch.begin_ e.world.World.epochs in
       rplan e b;
       ignore (Epoch.publish b);
-      (* name-resolved so the swap is credited to whichever shard's
-         registry triggered the lazy application *)
+      (* name-resolved so the swap is credited to the registry of
+         whichever server triggered the lazy application *)
       Registry.observe_name "epoch.swap_ns"
         (Int64.sub (Clock.host_ns ()) swap_started);
       Registry.incr_name "dispatch.reloads";
@@ -554,9 +354,9 @@ let release_segments ctl =
       | None -> ())
     ctl.sc_entries
 
-(* What one worker hands back at the barrier (queue counters are read off
-   the queue afterwards). *)
-type worker_result = {
+(* What one server hands back at stream end (a shard's queue counters are
+   read off the queue afterwards). *)
+type served = {
   w_events : int;
   w_invocations : int;
   w_finished : int;
@@ -572,24 +372,27 @@ type worker_result = {
   w_per_epoch : (int * int) list;
 }
 
-(* One shard worker: drain the queue, run every event against the shard's
-   private machine under the segment's pinned snapshot.  [ev_sums] /
-   [ev_counts] are shared arrays indexed by ORIGINAL event index — each
-   slot is written by exactly one shard (the one the event was
-   partitioned to), so there is no cross-domain write conflict. *)
-let worker (e : engine) (p : plan) ctl queue ~(ev_sums : int64 array)
-    ~(ev_counts : int array) ~(abort : bool Atomic.t) () =
-  let w_started = Clock.host_ns () in
-  let sw = World.shard_of e.world in
-  let ictx = Invoke.create sw in
-  let sup = Supervisor.create ~config:(sup_config e.policy) () in
-  let kernel = sw.World.kernel in
+(* The per-event server: every event, inline or sharded, runs here,
+   against [world] under the segment's pinned snapshot.  Returns the
+   per-event [serve] function and the end-of-stream [finish].
+
+   [ev_sums] / [ev_counts] are indexed by ORIGINAL event index; each slot
+   is written by exactly one server (the one the event was routed to),
+   so shards never write the same slot.  Each invocation's outcome is
+   folded into its event's slot as soon as it returns, so a Fail_fast
+   abort part-way through an event keeps the outcomes that already ran.
+   A quarantined extension is benched for the rest of this server's
+   stream, then handed to [on_quarantine]. *)
+let server (e : engine) (p : plan) ctl ~(world : World.t) ~ictx ~sup
+    ~on_quarantine ~(ev_sums : int64 array) ~(ev_counts : int array)
+    ~(abort : bool Atomic.t) =
+  let started = Clock.host_ns () in
+  let kernel = world.World.kernel in
   let supervised = match e.policy with Supervise _ -> true | _ -> false in
-  (* shard-local quarantine: the shared Attach table is never mutated by
-     workers; a benched extension is simply filtered out on this shard *)
   let benched : (int, unit) Hashtbl.t = Hashtbl.create 4 in
-  (* intern the hot handles in THIS shard's registry (we are inside
-     Registry.using): name-resolution here, raw bumps on the event path *)
+  (* intern the hot handles in the registry current at stream start (a
+     shard's own, or the caller's): name resolution here, raw bumps on
+     the event path *)
   let tele_events = Registry.counter "dispatch.events" in
   let tele_invocations = Registry.counter "dispatch.invocations" in
   let tele_crashes = Registry.counter "dispatch.crashes" in
@@ -598,26 +401,32 @@ let worker (e : engine) (p : plan) ctl queue ~(ev_sums : int64 array)
   let tele_skipped = Registry.counter "dispatch.skipped" in
   let tele_absorbed = Registry.counter "dispatch.faults_absorbed" in
   let tele_event_ns = Registry.histogram "dispatch.event_ns" in
-  let tele_event_span_ns = Registry.histogram "dispatch.event.ns" in
+  (* The event span's Vclock duration goes to an unregistered sink: the
+     exported per-event time is [dispatch.event_ns] (host wall ns), and
+     each extension's scorecard records its own Vclock latency. *)
+  let span_sink = Telemetry.Histogram.make "dispatch.event" in
   let invocations = ref 0 and finished = ref 0 and stopped = ref 0 in
   let crashed = ref 0 and exhausted = ref 0 and skipped = ref 0 in
   let faults_absorbed = ref 0 and quarantined = ref 0 and injected = ref 0 in
   let events = ref 0 in
   let epoch_counts : (int, int ref) Hashtbl.t = Hashtbl.create 4 in
   let vnow () = Vclock.now kernel.Kernel.clock in
+  (* A contained fault: revive already happened (crash) or was unnecessary
+     (exhaustion); charge the breaker and quarantine on its verdict. *)
   let contained_fault ext =
     incr faults_absorbed;
     Registry.bump tele_absorbed;
     if supervised then begin
-      let now = Vclock.now kernel.Kernel.clock in
-      match Supervisor.observe_fault sup ext ~now_ns:now with
+      match Supervisor.observe_fault sup ext ~now_ns:(vnow ()) with
       | Supervisor.Quarantine ->
-        Hashtbl.replace benched ext.Supervisor.attach_id ();
-        incr quarantined
+        let attach_id = ext.Supervisor.attach_id in
+        Hashtbl.replace benched attach_id ();
+        incr quarantined;
+        on_quarantine attach_id
       | Supervisor.Tripped _ | Supervisor.No_change -> ()
     end
   in
-  (* cache the last segment looked up: per-shard event indices ascend, so
+  (* cache the last segment looked up: a server's event indices ascend, so
      segment lookups are monotone and the mutex is taken once per segment *)
   let cur_seg = ref (-1) in
   let cur_entry = ref None in
@@ -628,6 +437,10 @@ let worker (e : engine) (p : plan) ctl queue ~(ev_sums : int64 array)
     end;
     Option.get !cur_entry
   in
+  (* Each event runs under a fresh causal trace on the simulated clock:
+     dispatch.event > dispatch.<ext> > loader.run > interp/jit.run, with
+     supervisor and chaos points landing inside whichever span was open
+     when they fired. *)
   let process (i, seg, payload) =
     let { seg_snap; seg_attach } = entry_for seg in
     Registry.bump tele_events;
@@ -637,11 +450,9 @@ let worker (e : engine) (p : plan) ctl queue ~(ev_sums : int64 array)
      match Hashtbl.find_opt epoch_counts ep with
      | Some r -> incr r
      | None -> Hashtbl.add epoch_counts ep (ref 1));
-    let ev_checksum = ref 0L in
-    let ev_invocations = ref 0 in
     (Registry.with_trace (Registry.fresh_trace ())
     @@ fun () ->
-    Registry.with_span "dispatch.event" ~hist:tele_event_span_ns ~clock:vnow
+    Registry.with_span "dispatch.event" ~hist:span_sink ~clock:vnow
     @@ fun () ->
     let inj =
       match p.chaos with
@@ -652,27 +463,28 @@ let worker (e : engine) (p : plan) ctl queue ~(ev_sums : int64 array)
     let opts =
       Chaos.apply_opts inj { e.opts with Invoke.skb_payload = Some payload }
     in
-    Chaos.arm inj sw.World.bugs;
-    Fun.protect ~finally:(fun () -> Chaos.disarm inj sw.World.bugs)
+    Chaos.arm inj world.World.bugs;
+    Fun.protect ~finally:(fun () -> Chaos.disarm inj world.World.bugs)
     @@ fun () ->
     Array.iter
       (fun (a : Attach.attachment) ->
         if not (Hashtbl.mem benched a.Attach.attach_id) then begin
           let name = Attach.name a in
           let ext =
+            (* digest-keyed: the same image keeps its breaker history
+               across detach/re-attach and epoch swaps *)
             Supervisor.ext sup ~digest:a.Attach.digest
               ~attach_id:a.Attach.attach_id ~name
           in
           let decision =
-            if supervised then
-              Supervisor.decide sup ext
-                ~now_ns:(Vclock.now kernel.Kernel.clock)
+            if supervised then Supervisor.decide sup ext ~now_ns:(vnow ())
             else Supervisor.Execute
           in
           Registry.with_span ("dispatch." ^ name) ~clock:vnow
           @@ fun () ->
           match decision with
           | Supervisor.Skip ->
+            (* breaker open: fast-fail, span still closes *)
             Registry.point "dispatch.skip"
               ~value:(Int64.of_int a.Attach.attach_id);
             Supervisor.observe_skip ext;
@@ -680,37 +492,36 @@ let worker (e : engine) (p : plan) ctl queue ~(ev_sums : int64 array)
             Registry.bump tele_skipped
           | Supervisor.Execute | Supervisor.Probe ->
             Registry.bump tele_invocations;
-            let inv_started = Vclock.now kernel.Kernel.clock in
-            let r = Invoke.run ~opts ~ictx ~snap:seg_snap sw a.Attach.loaded in
+            let inv_started = vnow () in
+            let r = Invoke.run ~opts ~ictx ~snap:seg_snap world a.Attach.loaded in
+            (* scorecard latency: Vclock cost of this invocation, recorded
+               whether or not tracing retained the spans *)
             Registry.observe ext.Supervisor.lat
-              (Int64.sub (Vclock.now kernel.Kernel.clock) inv_started);
+              (Int64.sub (vnow ()) inv_started);
             incr invocations;
-            incr ev_invocations;
+            ev_sums.(i) <- checksum_add ev_sums.(i) r.Invoke.outcome;
+            ev_counts.(i) <- ev_counts.(i) + 1;
             ext.Supervisor.invocations <- ext.Supervisor.invocations + 1;
-            ev_checksum := checksum_add !ev_checksum r.Invoke.outcome;
             ext.Supervisor.ret_checksum <-
               checksum_add ext.Supervisor.ret_checksum r.Invoke.outcome;
             (match r.Invoke.outcome with
             | Invoke.Finished _ ->
               incr finished;
               ext.Supervisor.finished <- ext.Supervisor.finished + 1;
-              if supervised then
-                Supervisor.observe_ok sup ext
-                  ~now_ns:(Vclock.now kernel.Kernel.clock)
+              if supervised then Supervisor.observe_ok sup ext ~now_ns:(vnow ())
             | Invoke.Stopped _ ->
+              (* a language panic is a clean self-stop, not a fault *)
               Registry.bump tele_stops;
               incr stopped;
               ext.Supervisor.stopped <- ext.Supervisor.stopped + 1;
-              if supervised then
-                Supervisor.observe_ok sup ext
-                  ~now_ns:(Vclock.now kernel.Kernel.clock)
+              if supervised then Supervisor.observe_ok sup ext ~now_ns:(vnow ())
             | Invoke.Crashed _ -> (
               Registry.bump tele_crashes;
               incr crashed;
               ext.Supervisor.crashed <- ext.Supervisor.crashed + 1;
               match e.policy with
               | Fail_fast ->
-                (* broadcast abort; this shard's kernel stays dead *)
+                (* abort the stream; this machine's kernel stays dead *)
                 Atomic.set abort true;
                 raise Exit
               | Isolate | Supervise _ ->
@@ -721,47 +532,40 @@ let worker (e : engine) (p : plan) ctl queue ~(ev_sums : int64 array)
               incr exhausted;
               ext.Supervisor.exhausted <- ext.Supervisor.exhausted + 1;
               (match e.policy with
-              | Fail_fast -> ()
+              | Fail_fast -> ()  (* guards cleaned up; keep serving *)
               | Isolate | Supervise _ -> contained_fault ext))
         end)
       seg_attach);
-    ev_sums.(i) <- !ev_checksum;
-    ev_counts.(i) <- !ev_invocations;
     Registry.observe tele_event_ns (Int64.sub (Clock.host_ns ()) ev_started)
   in
-  (* Main drain loop.  After a Fail_fast abort the loop keeps draining —
-     discarding events — so a Block-mode producer can never deadlock
-     against a stopped consumer. *)
-  let rec drain () =
-    match Shard.pop queue with
-    | None -> ()
-    | Some ev ->
-      if not (Atomic.get abort) then (try process ev with Exit -> ());
-      drain ()
+  let serve ev = try process ev with Exit -> () in
+  let finish () =
+    {
+      w_events = !events;
+      w_invocations = !invocations;
+      w_finished = !finished;
+      w_stopped = !stopped;
+      w_crashed = !crashed;
+      w_exhausted = !exhausted;
+      w_skipped = !skipped;
+      w_faults_absorbed = !faults_absorbed;
+      w_quarantined = !quarantined;
+      w_injected = !injected;
+      w_host_ns = Int64.sub (Clock.host_ns ()) started;
+      w_per_ext = Supervisor.healths sup;
+      w_per_epoch =
+        Hashtbl.fold (fun ep r acc -> (ep, !r) :: acc) epoch_counts []
+        |> List.sort (fun (a, _) (b, _) -> Int.compare a b);
+    }
   in
-  drain ();
-  {
-    w_events = !events;
-    w_invocations = !invocations;
-    w_finished = !finished;
-    w_stopped = !stopped;
-    w_crashed = !crashed;
-    w_exhausted = !exhausted;
-    w_skipped = !skipped;
-    w_faults_absorbed = !faults_absorbed;
-    w_quarantined = !quarantined;
-    w_injected = !injected;
-    w_host_ns = Int64.sub (Clock.host_ns ()) w_started;
-    w_per_ext = Supervisor.healths sup;
-    w_per_epoch =
-      Hashtbl.fold (fun ep r acc -> (ep, !r) :: acc) epoch_counts []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b);
-  }
+  (serve, finish)
 
-(* Exact reconstruction of the sequential order-sensitive checksum from
-   the per-event folds: g_i = g_{i-1} * 31^{k_i} + e_i.  Slots of dropped
-   events hold (k = 0, e = 0), which leaves the fold unchanged — a
-   dropped event simply never happened. *)
+(* ---- stats assembly, shared by both drivers ---- *)
+
+(* Exact reconstruction of the order-sensitive stream checksum from the
+   per-event folds: g_i = g_{i-1} * 31^{k_i} + e_i.  Slots of dropped or
+   never-served events hold (k = 0, e = 0), which leaves the fold
+   unchanged — such an event simply never happened. *)
 let recombine ~(ev_sums : int64 array) ~(ev_counts : int array) =
   let acc = ref 0L in
   for i = 0 to Array.length ev_sums - 1 do
@@ -772,18 +576,101 @@ let recombine ~(ev_sums : int64 array) ~(ev_counts : int array) =
   done;
   !acc
 
-let merge_per_epoch per_shard =
+let merge_per_epoch per_server =
   let tbl : (int, int ref) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (List.iter (fun (ep, n) ->
          match Hashtbl.find_opt tbl ep with
          | Some r -> r := !r + n
          | None -> Hashtbl.add tbl ep (ref n)))
-    per_shard;
+    per_server;
   Hashtbl.fold (fun ep r acc -> (ep, !r) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let run_sharded (e : engine) (p : plan) : stats =
+let assemble (p : plan) ctl ~started ~ev_sums ~ev_counts ~per_ext ~per_shard
+    (results : served list) =
+  let elapsed = Int64.sub (Clock.host_ns ()) started in
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 results in
+  let events = sum (fun r -> r.w_events) in
+  let rate =
+    if Int64.compare elapsed 0L > 0 then
+      float_of_int events /. (Int64.to_float elapsed /. 1e9)
+    else 0.
+  in
+  (* export the latest stream's throughput (counter-as-gauge) *)
+  let tele_rate = Registry.counter "dispatch.events_per_sec" in
+  Telemetry.Counter.reset tele_rate;
+  Registry.incr tele_rate ~n:(int_of_float rate);
+  let totals =
+    {
+      events;
+      invocations = sum (fun r -> r.w_invocations);
+      finished = sum (fun r -> r.w_finished);
+      stopped = sum (fun r -> r.w_stopped);
+      crashed = sum (fun r -> r.w_crashed);
+      exhausted = sum (fun r -> r.w_exhausted);
+      skipped = sum (fun r -> r.w_skipped);
+      faults_absorbed = sum (fun r -> r.w_faults_absorbed);
+      quarantined = sum (fun r -> r.w_quarantined);
+      injected = sum (fun r -> r.w_injected);
+      dropped = List.fold_left (fun acc s -> acc + s.s_dropped) 0 per_shard;
+      reloads = ctl.sc_reloads;
+      ret_checksum = recombine ~ev_sums ~ev_counts;
+      host_ns = elapsed;
+      events_per_sec = rate;
+      per_epoch = merge_per_epoch (List.map (fun r -> r.w_per_epoch) results);
+    }
+  in
+  { domains = p.domains; totals; per_ext; per_shard;
+    event_checksums = (if p.record_checksums then ev_sums else [||]) }
+
+(* ---- drivers ---- *)
+
+let run_inline (e : engine) (p : plan) : stats =
+  let started = Clock.host_ns () in
+  let ctl = segctl_create e p in
+  let ev_sums = Array.make (max p.count 0) 0L in
+  let ev_counts = Array.make (max p.count 0) 0 in
+  let abort = Atomic.make false in
+  let serve, finish =
+    server e p ctl ~world:e.world ~ictx:e.ictx ~sup:e.sup
+      ~on_quarantine:(fun attach_id ->
+        ignore (Attach.detach e.attach ~attach_id))
+      ~ev_sums ~ev_counts ~abort
+  in
+  let i = ref 0 in
+  while !i < p.count && not (Atomic.get abort) do
+    serve (!i, segment_of ctl !i, p.gen !i);
+    incr i
+  done;
+  let r = finish () in
+  release_segments ctl;
+  assemble p ctl ~started ~ev_sums ~ev_counts ~per_ext:r.w_per_ext
+    ~per_shard:[] [ r ]
+
+(* One shard domain: a server over a private machine, fed from the
+   shard's queue.  After a Fail_fast abort the loop keeps draining —
+   discarding events — so a Block-mode producer can never deadlock
+   against a stopped consumer. *)
+let shard_worker (e : engine) (p : plan) ctl queue ~ev_sums ~ev_counts ~abort
+    () =
+  let world = World.shard_of e.world in
+  let serve, finish =
+    server e p ctl ~world ~ictx:(Invoke.create world)
+      ~sup:(Supervisor.create ~config:(sup_config e.policy) ())
+      ~on_quarantine:ignore ~ev_sums ~ev_counts ~abort
+  in
+  let rec drain () =
+    match Shard.pop queue with
+    | None -> ()
+    | Some ev ->
+      if not (Atomic.get abort) then serve ev;
+      drain ()
+  in
+  drain ();
+  finish ()
+
+let sharded (e : engine) (p : plan) : stats =
   let n = p.domains in
   let started = Clock.host_ns () in
   let ctl = segctl_create e p in
@@ -802,11 +689,11 @@ let run_sharded (e : engine) (p : plan) : stats =
     Array.init n (fun k ->
         Domain.spawn (fun () ->
             Registry.using registries.(k)
-              (worker e p ctl queues.(k) ~ev_sums ~ev_counts ~abort)))
+              (shard_worker e p ctl queues.(k) ~ev_sums ~ev_counts ~abort)))
   in
   (* The coordinator is the single producer: the stateful generator is
      consumed in original order, so event [i]'s payload is identical to
-     what the sequential loop would have fed it. *)
+     what the inline driver would have fed it. *)
   (try
      for i = 0 to p.count - 1 do
        if Atomic.get abort then raise Exit;
@@ -816,46 +703,14 @@ let run_sharded (e : engine) (p : plan) : stats =
      done
    with Exit -> ());
   Array.iter Shard.close queues;
-  let results = Array.map Domain.join doms in
-  (* barrier: fold every shard's registry into the caller's, bench the
+  let results = Array.to_list (Array.map Domain.join doms) in
+  (* barrier: fold every shard's registry into the caller's, release the
      segment pins so superseded epochs can finish their grace periods *)
   Array.iter (fun reg -> Registry.merge reg ~into:home) registries;
   release_segments ctl;
-  let elapsed = Int64.sub (Clock.host_ns ()) started in
-  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 results in
-  let events = sum (fun r -> r.w_events) in
-  let dropped = Array.fold_left (fun acc q -> acc + Shard.dropped q) 0 queues in
-  let rate =
-    if Int64.compare elapsed 0L > 0 then
-      float_of_int events /. (Int64.to_float elapsed /. 1e9)
-    else 0.
-  in
-  Telemetry.Counter.reset tele_rate;
-  Registry.incr tele_rate ~n:(int_of_float rate);
-  let totals =
-    {
-      events;
-      invocations = sum (fun r -> r.w_invocations);
-      finished = sum (fun r -> r.w_finished);
-      stopped = sum (fun r -> r.w_stopped);
-      crashed = sum (fun r -> r.w_crashed);
-      exhausted = sum (fun r -> r.w_exhausted);
-      skipped = sum (fun r -> r.w_skipped);
-      faults_absorbed = sum (fun r -> r.w_faults_absorbed);
-      quarantined = sum (fun r -> r.w_quarantined);
-      injected = sum (fun r -> r.w_injected);
-      dropped;
-      reloads = ctl.sc_reloads;
-      ret_checksum = recombine ~ev_sums ~ev_counts;
-      host_ns = elapsed;
-      events_per_sec = rate;
-      per_epoch =
-        merge_per_epoch (Array.to_list (Array.map (fun r -> r.w_per_epoch) results));
-    }
-  in
   let per_shard =
-    List.init n (fun k ->
-        let r = results.(k) in
+    List.mapi
+      (fun k r ->
         let q = queues.(k) in
         {
           shard = k;
@@ -875,18 +730,10 @@ let run_sharded (e : engine) (p : plan) : stats =
           s_host_ns = r.w_host_ns;
           s_per_ext = r.w_per_ext;
         })
+      results
   in
-  {
-    domains = n;
-    totals;
-    per_ext =
-      Supervisor.merge_healths
-        (Array.to_list (Array.map (fun r -> r.w_per_ext) results));
-    per_shard;
-    event_checksums = (if p.record_checksums then ev_sums else [||]);
-  }
+  assemble p ctl ~started ~ev_sums ~ev_counts
+    ~per_ext:(Supervisor.merge_healths (List.map (fun r -> r.w_per_ext) results))
+    ~per_shard results
 
-let sharded = run_sharded
-
-let run e (p : plan) =
-  if p.domains = 1 then run_sequential e p else run_sharded e p
+let run e (p : plan) = if p.domains = 1 then run_inline e p else sharded e p

@@ -1,47 +1,56 @@
-(** The serving engine: a consolidated, typed {!plan} describing one
-    served event stream, executed sequentially or sharded across N OCaml
-    domains over shared epoch snapshots.
+(** The serving engine: a typed {!plan} describing one served event
+    stream, and one per-event server that both execution drivers run.
 
     {2 Model}
 
-    A {!plan} replaces the optional-argument pile that used to live on
-    [Dispatch.run_stream]: hook, event count, generator, chaos schedule,
-    hot-reload schedule, and the sharding shape (domain count, queue
-    bound, overflow policy, partition function) are one value with smart
-    constructors.  {!run} executes it:
+    A {!plan} holds the shape of one stream: hook, event count,
+    generator, chaos schedule, hot-reload schedule, and the sharding
+    shape (domain count, queue bound, overflow policy, partition
+    function), built by smart constructors.  Every event, however it is
+    driven, goes through the same server: it fans the event out to the
+    attachments of the event's segment, in attach order, under the
+    engine's {!policy}, and folds each outcome into the event's own
+    checksum slot as soon as the invocation returns.  {!run} picks the
+    driver:
 
-    - [domains = 1]: on the calling domain, against the engine's own
-      world and supervisor — the exact historical [run_stream] semantics
-      (supervision state accumulates across runs on one engine).
-    - [domains > 1]: the coordinator walks the stream in original order,
-      partitions events to shards by flow hash over the payload (or round
-      robin), and each shard domain serves its events against a private
-      machine — a shard {!World.shard_of} (own kernel, shard-local map
-      storage, own bug database), private invocation context, private
-      {!Supervisor}, private {!Telemetry.Registry} — while sharing the
-      base world's epoch chain.  Mid-stream reloads cut the stream into
-      segments: reload groups apply lazily in boundary order under one
-      lock, each segment's snapshot is retained until stream end, and
-      every invocation pins its segment's snapshot ({!Invoke.run}
-      [?snap]), so a superseded epoch's grace period cannot close while
-      any shard still serves under it.
+    - [domains = 1], inline: the calling domain calls the server
+      directly — no queue, no extra domain — on the engine's own world,
+      invocation context and supervisor.  Supervision state accumulates
+      across runs on one engine, and a quarantined extension is detached
+      from the engine's attach table.
+    - [domains > 1] (or {!sharded}), sharded: the calling domain walks
+      the stream in original order, partitions events to shards by flow
+      hash over the payload (or round robin), and each shard domain runs
+      the server over a private machine — a shard {!World.shard_of} (own
+      kernel, shard-local map storage, own bug database), private
+      invocation context, private {!Supervisor}, private
+      {!Telemetry.Registry}.  A quarantined extension is benched on its
+      shard only; the attach table is left alone.
+
+    Both drivers share the base world's epoch chain.  Mid-stream reloads
+    cut the stream into segments: reload groups apply lazily in boundary
+    order under one lock, the first time a server needs the segment, and
+    every invocation pins its segment's snapshot ({!Invoke.run}
+    [?snap]).  Each segment's snapshot stays retained until the stream
+    ends: a superseded epoch retires when its segment's pin is released
+    at stream end, on either driver.
 
     {2 Determinism}
 
     Per-event work depends only on the original event index: the
-    generator is consumed in order by the coordinator and chaos is a pure
+    generator is consumed in order by the driver and chaos is a pure
     function of [(seed, index)].  Each event's outcome fold and
-    invocation count land at its original index, and the sequential
-    checksum is reconstructed exactly as
-    [g_i = g_(i-1) * 31^(k_i) + e_i] — so N-shard, 1-shard ({!sharded})
-    and sequential runs agree, for extensions whose per-event outcome
-    does not read state mutated by other events (map contents are
-    shard-local, per-CPU style).  Under [Supervise] breaker state evolves
-    in shard-local order (scorecards are honest per shard, not
-    shard-count invariant); the determinism oracle runs under {!Isolate}.
-    [Fail_fast] sharded is a best-effort broadcast abort.  [Drop_newest]
-    overflow is lossy by design; drops are counted, and a dropped event
-    leaves the reconstructed checksum unchanged. *)
+    invocation count land at its original index, and the stream checksum
+    is reconstructed as [g_i = g_(i-1) * 31^(k_i) + e_i] — so N-shard,
+    1-shard ({!sharded}) and inline runs agree, for extensions whose
+    per-event outcome does not read state mutated by other events (map
+    contents are shard-local, per-CPU style).  Under [Supervise] breaker
+    state evolves in shard-local order (scorecards are honest per shard,
+    not shard-count invariant); the determinism oracle runs under
+    {!Isolate}.  [Fail_fast] keeps the outcomes of the aborting event on
+    both drivers; sharded, the abort is a best-effort broadcast.
+    [Drop_newest] overflow is lossy by design; drops are counted, and a
+    dropped event leaves the reconstructed checksum unchanged. *)
 
 (** {2 Engine} *)
 
@@ -148,13 +157,13 @@ type totals = {
   faults_absorbed : int;
       (** crashes + exhaustions contained (always 0 under [Fail_fast]) *)
   quarantined : int;
-      (** extensions detached (sequential) or shard-benched (sharded) *)
+      (** extensions detached (inline) or shard-benched (sharded) *)
   injected : int;     (** chaos injections that landed on an event *)
   dropped : int;      (** events lost to [Drop_newest] queue overflow *)
   reloads : int;      (** reload plans applied (epoch swaps published) *)
   ret_checksum : int64;
-      (** order-sensitive fold of all outcomes, in original event order
-          (sharded: reconstructed exactly from per-event folds) *)
+      (** order-sensitive fold of all outcomes, in original event order,
+          reconstructed from the per-event folds *)
   host_ns : int64;    (** wall time for the whole stream *)
   events_per_sec : float;
   per_epoch : (int * int) list;
@@ -186,10 +195,12 @@ type stats = {
   totals : totals;
   per_ext : Supervisor.health list;
       (** per-extension health: the engine supervisor's scorecard
-          (sequential) or the digest-keyed merge of the per-shard
-          scorecards ({!Supervisor.merge_healths}) *)
+          (inline) or the digest-keyed merge of the per-shard scorecards
+          ({!Supervisor.merge_healths}) *)
   per_shard : shard_stats list;
-      (** ascending shard index; empty on the sequential path *)
+      (** one row per shard domain, ascending shard index; empty when
+          the inline driver ran (there is no shard, queue or private
+          machine to report) *)
   event_checksums : int64 array;
       (** per-event outcome folds at original indices; empty unless
           [record_checksums] *)
@@ -211,13 +222,15 @@ val checksum_add : int64 -> Invoke.outcome -> int64
 (** {2 Execution} *)
 
 val run : engine -> plan -> stats
-(** Execute the plan: sequentially when [plan.domains = 1], sharded
-    otherwise.  Updates the [dispatch.*] telemetry counters (sharded:
-    recorded per shard, folded into the calling domain's registry at the
-    barrier via {!Telemetry.Registry.merge}) and exports the stream's
-    throughput as [dispatch.events_per_sec]. *)
+(** Execute the plan: the inline driver when [plan.domains = 1], the
+    sharded driver otherwise.  The [dispatch.*] telemetry lands in the
+    registry current when the run starts (sharded: recorded per shard,
+    folded into that registry at the barrier via
+    {!Telemetry.Registry.merge}); the stream's throughput is exported as
+    [dispatch.events_per_sec] and each event's host wall time as the
+    [dispatch.event_ns] histogram. *)
 
 val sharded : engine -> plan -> stats
-(** Force the sharded machinery even for [domains = 1] — the oracle's
-    "1-shard" leg: coordinator, queue, shard world and checksum
-    reconstruction all engaged, with a single worker domain. *)
+(** Force the sharded driver even for [domains = 1] — the oracle's
+    "1-shard" leg: coordinator, queue, shard world and private machine
+    all engaged, with a single worker domain. *)

@@ -56,10 +56,10 @@ type ext = {
   mutable quarantined_at_ns : int64 option;
   lat : Telemetry.Histogram.t;
       (** invocation latency (Vclock ns), interned as ["ext.<name>.ns"];
-          observed by {!Dispatch}, read back as the scorecard's p50/p99 *)
+          observed by {!Serve}, read back as the scorecard's p50/p99 *)
 }
 (** Mutable per-extension record; the serving tallies are filled in by
-    {!Dispatch}. *)
+    {!Serve}. *)
 
 type t
 

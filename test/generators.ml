@@ -6,12 +6,10 @@
 open Untenable
 open Ebpf.Asm
 module World = Framework.World
-module Loader = Framework.Loader
 module Pipeline = Framework.Pipeline
 module Invoke = Framework.Invoke
 module Attach = Framework.Attach
 module Serve = Framework.Serve
-module Dispatch = Framework.Dispatch
 module Bugdb = Helpers.Bugdb
 
 let h = Helpers.Registry.id_of_name
@@ -25,9 +23,9 @@ let insns_of items = (prog items).Ebpf.Program.insns
 
 (* Load through the full pipeline, failing the test on rejection. *)
 let load world name ~prog_type items =
-  match Loader.load_ebpf world (prog ~name ~prog_type items) with
+  match Pipeline.load_ebpf world (prog ~name ~prog_type items) with
   | Ok loaded -> loaded
-  | Error e -> Alcotest.failf "load %s: %a" name Loader.pp_load_error e
+  | Error e -> Alcotest.failf "load %s: %a" name Pipeline.pp_error e
 
 (* Hand a program straight to the runtime the way a path-B kernel would:
    the fabricated handle skips the verify gate, so properties are about
@@ -107,17 +105,17 @@ let reload_schedule ~count ~reloads =
    armed §2.2 crasher in front of it. *)
 let build_dispatch_engine ?policy ~with_crasher () =
   let world = World.create_populated () in
-  let engine = Dispatch.create ?policy world in
+  let engine = Serve.create ?policy world in
   if with_crasher then begin
     Bugdb.force_on world.World.bugs "hbug:probe-read-size-unchecked";
     ignore
-      (Attach.attach engine.Dispatch.attach ~hook:"xdp"
+      (Attach.attach engine.Serve.attach ~hook:"xdp"
          (load world "crasher" ~prog_type:Ebpf.Program.Kprobe crasher_items))
   end;
   List.iter
     (fun (name, items) ->
       ignore
-        (Attach.attach engine.Dispatch.attach ~hook:"xdp"
+        (Attach.attach engine.Serve.attach ~hook:"xdp"
            (load world name ~prog_type:Ebpf.Program.Socket_filter items)))
     healthy_filters;
   engine

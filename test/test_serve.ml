@@ -182,6 +182,55 @@ let determinism_oracle =
            seq.Serve.totals.Serve.ret_checksum
       && par.Serve.event_checksums = seq.Serve.event_checksums)
 
+(* The sequential and sharded drivers run the same per-event server, so
+   a Fail_fast abort part-way through an event keeps the outcomes that
+   already ran on both: the armed crasher is attached first, crashes on
+   event 0, and the stream ends there. *)
+let test_fail_fast_agrees () =
+  let run serve =
+    let engine =
+      Generators.build_dispatch_engine ~policy:Serve.Fail_fast
+        ~with_crasher:true ()
+    in
+    (serve engine (Serve.plan ~size:32 ~hook:"xdp" ~count:10 ())).Serve.totals
+  in
+  let seq = run Serve.run in
+  let par = run Serve.sharded in
+  Alcotest.(check int64) "sequential checksum holds the crash" (-2L)
+    seq.Serve.ret_checksum;
+  Alcotest.(check int64) "sharded checksum holds the crash" (-2L)
+    par.Serve.ret_checksum;
+  Alcotest.(check int) "sequential stops after the first event" 1
+    seq.Serve.events;
+  Alcotest.(check int) "sharded stops after the first event" 1
+    par.Serve.events
+
+(* The dispatch.* counters land in the registry that is current when the
+   run starts, whatever the domain count. *)
+let test_registry_scoping () =
+  with_telemetry @@ fun () ->
+  let open Telemetry in
+  let count = 50 in
+  let events r = Counter.value (Registry.counter_in r "dispatch.events") in
+  List.iter
+    (fun domains ->
+      let engine = build_engine () in
+      let scoped = Registry.create ~label:"scoped" () in
+      let global_before = events Registry.global in
+      let s =
+        Registry.using scoped (fun () ->
+            Serve.run engine
+              (Serve.plan ~domains ~size:48 ~hook:"xdp" ~count ()))
+      in
+      let what = Printf.sprintf "%d domain(s): " domains in
+      Alcotest.(check int) (what ^ "events served") count
+        s.Serve.totals.Serve.events;
+      Alcotest.(check int) (what ^ "events recorded in the scoped registry")
+        count (events scoped);
+      Alcotest.(check int) (what ^ "global registry untouched") global_before
+        (events Registry.global))
+    [ 1; 2 ]
+
 (* ---------------- plan validation ---------------- *)
 
 let test_plan_validation () =
@@ -392,6 +441,10 @@ let test_merge_healths () =
 let suite =
   [
     QCheck_alcotest.to_alcotest determinism_oracle;
+    Alcotest.test_case "Fail_fast: sequential = sharded" `Quick
+      test_fail_fast_agrees;
+    Alcotest.test_case "dispatch counters follow the current registry" `Quick
+      test_registry_scoping;
     Alcotest.test_case "plan validation" `Quick test_plan_validation;
     Alcotest.test_case "shard queue Drop_newest" `Quick test_shard_queue_drop_newest;
     Alcotest.test_case "sharded Drop_newest accounting" `Quick

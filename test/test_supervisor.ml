@@ -5,7 +5,6 @@
 
 open Untenable
 module World = Framework.World
-module Dispatch = Framework.Dispatch
 module Serve = Framework.Serve
 module Supervisor = Framework.Supervisor
 module Chaos = Framework.Chaos
@@ -201,7 +200,7 @@ let test_isolate_contains () =
   Alcotest.(check int) "crasher tally" 25 (health_by "crasher" r).Supervisor.crashed;
   Alcotest.(check int) "healthy tally" 25 (health_by "len" r).Supervisor.finished;
   Alcotest.(check bool) "kernel alive at end" false
-    (Kernel.is_dead engine.Dispatch.world.World.kernel)
+    (Kernel.is_dead engine.Serve.world.World.kernel)
 
 let test_supervise_quarantines () =
   let config =
@@ -210,7 +209,7 @@ let test_supervise_quarantines () =
       max_cooldown_ns = 4L }
   in
   let engine =
-    build_engine ~policy:(Dispatch.Supervise config) ~with_crasher:true ()
+    build_engine ~policy:(Serve.Supervise config) ~with_crasher:true ()
   in
   let count = 60 in
   let r = run ~count engine in
@@ -225,7 +224,7 @@ let test_supervise_quarantines () =
     (c.Supervisor.invocations < count);
   Alcotest.(check int) "offender detached from the hook"
     (List.length healthy_filters)
-    (Attach.count engine.Dispatch.attach);
+    (Attach.count engine.Serve.attach);
   (* the healthy population computed exactly what a crasher-free run does *)
   List.iter
     (fun (name, _) ->
@@ -239,16 +238,16 @@ let test_supervise_quarantines () =
         (health_by name r).Supervisor.invocations)
     healthy_filters;
   Alcotest.(check bool) "kernel alive at end" false
-    (Kernel.is_dead engine.Dispatch.world.World.kernel)
+    (Kernel.is_dead engine.Serve.world.World.kernel)
 
 let test_fail_fast_aborts () =
-  let engine = build_engine ~policy:Dispatch.Fail_fast ~with_crasher:true () in
+  let engine = build_engine ~policy:Serve.Fail_fast ~with_crasher:true () in
   let r = run ~count:10 engine in
   Alcotest.(check int) "stream aborted on first crash" 1 r.events;
   Alcotest.(check int) "one crash" 1 r.crashed;
   Alcotest.(check int) "nothing absorbed" 0 r.faults_absorbed;
   Alcotest.(check bool) "kernel stays dead" true
-    (Kernel.is_dead engine.Dispatch.world.World.kernel)
+    (Kernel.is_dead engine.Serve.world.World.kernel)
 
 let test_chaos_dispatch_deterministic () =
   let chaos = { Chaos.default_config with Chaos.fault_rate = 0.2 } in
