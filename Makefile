@@ -122,11 +122,13 @@ fuzz-smoke:
 	  2> /dev/null
 	@echo "fuzz-smoke: OK"
 
-# Serving-path gate: short runs of the benchmark's two serving workloads
-# must serve every burst with the checksum of the interpreter reference
-# replay.  serve-interp drives the inline server over a single segment
-# with no reload; serve-jit-reload adds JIT images cached per epoch and
-# one hot reload per 64-event burst.
+# Benchmark gate: short runs of the benchmark's three workloads must get
+# every op right.  serve-interp drives the inline server over a single
+# segment with no reload; serve-jit-reload adds JIT images cached per
+# epoch and one hot reload per 64-event burst; both must serve every burst
+# with the checksum of the interpreter reference replay.  load-verify
+# deploys batches through the verify gate: every image must get the
+# verdict known by construction.
 serve-smoke:
 	dune build @all
 	dune exec --root . --display quiet -- ./perfbench/main.exe \
@@ -139,6 +141,11 @@ serve-smoke:
 	  > /tmp/serve_smoke.out
 	tail -n 1 /tmp/serve_smoke.out | grep -q '"correct": true'
 	tail -n 1 /tmp/serve_smoke.out | grep -q '"failed": 0,'
+	dune exec --root . --display quiet -- ./perfbench/main.exe \
+	  --workload load-verify --seed 7 --seconds 2 --trace 0 \
+	  > /tmp/serve_smoke_load.out
+	tail -n 1 /tmp/serve_smoke_load.out | grep -q '"correct": true'
+	tail -n 1 /tmp/serve_smoke_load.out | grep -q '"failed": 0,'
 	@echo "serve-smoke: OK"
 
 bench:

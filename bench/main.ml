@@ -19,6 +19,36 @@ module Vconfig = Bpf_verifier.Verifier
 module Serve = Framework.Serve
 module Kver = Kerndata.Kver
 
+(* ---- interleaved A/B legs ---- *)
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+
+(* Acceptance lines compare two legs of one experiment.  A verdict taken
+   from the best of a few runs of each leg, the legs run back to back,
+   flips on unchanged code: host drift lands on one leg only.  Here the
+   legs run as [pairs] interleaved pairs, each pair in alternating order,
+   and the verdict reads the median of the per-pair ratios [b / a].
+   Returns (median a, median b, median ratio). *)
+let interleaved ~pairs (a : unit -> float) (b : unit -> float) =
+  let rows =
+    List.init pairs (fun k ->
+        if k mod 2 = 0 then
+          let x = a () in
+          let y = b () in
+          (x, y)
+        else
+          let y = b () in
+          let x = a () in
+          (x, y))
+  in
+  ( median (List.map fst rows),
+    median (List.map snd rows),
+    median (List.map (fun (x, y) -> y /. x) rows) )
+
 (* ------------------------------------------------------------------ *)
 (* Figure 2: verifier LoC growth                                       *)
 (* ------------------------------------------------------------------ *)
@@ -1039,31 +1069,33 @@ let chaos_exp ?(smoke = false) () =
   let count2 = if smoke then 5_000 else 20_000 in
   let chaos = Chaos.default_config (* 1% fault rate *) in
   ignore (run ~count:(count2 / 10) (build ~crasher:false ())) (* warm up *);
-  (* wall-clock rates are noisy at smoke sizes: take the best of [reps]
-     runs of each configuration (the schedule is deterministic, so every
-     rep serves the identical stream) *)
-  let reps = if smoke then 3 else 2 in
-  let best ?chaos () =
-    List.fold_left
-      (fun acc r -> if eps r > eps acc then r else acc)
-      (run ?chaos ~count:count2 (build ~crasher:false ()))
-      (List.init (reps - 1) (fun _ ->
-           run ?chaos ~count:count2 (build ~crasher:false ())))
+  (* the schedule is deterministic, so every run of a leg serves the
+     identical stream; the legs are interleaved pair by pair *)
+  let pairs = if smoke then 8 else 16 in
+  let last = Array.make 2 None in
+  let leg ?chaos slot () =
+    let r = run ?chaos ~count:count2 (build ~crasher:false ()) in
+    last.(slot) <- Some r;
+    eps r
   in
-  let base = best () in
-  let noisy = best ~chaos () in
-  let degradation = (eps base -. eps noisy) /. eps base *. 100. in
+  let calm, noisy, ratio =
+    interleaved ~pairs (leg 0) (leg 1 ~chaos)
+  in
+  let degradation = (1. -. ratio) *. 100. in
   Printf.printf
-    "  healthy population, %d events, chaos fault rate %.1f%% (%d planned):\n\
-    \    calm  %s\n\
-    \    chaos %s\n\
-    \    degradation %.1f%%\n"
+    "  healthy population, %d events, chaos fault rate %.1f%% (%d planned), \
+     %d interleaved pairs:\n\
+    \    calm  (last run) %s\n\
+    \    chaos (last run) %s\n\
+    \    median rates: calm %.0f ev/s, chaos %.0f ev/s\n\
+    \    degradation %.1f%% (median of the per-pair ratios)\n"
     count2
     (chaos.Chaos.fault_rate *. 100.)
     (Chaos.planned chaos ~count:count2)
-    (Format.asprintf "%a" Serve.pp_stats base)
-    (Format.asprintf "%a" Serve.pp_stats noisy)
-    degradation;
+    pairs
+    (Format.asprintf "%a" Serve.pp_stats (Option.get last.(0)))
+    (Format.asprintf "%a" Serve.pp_stats (Option.get last.(1)))
+    calm noisy degradation;
   Printf.printf
     "  acceptance: <15%% throughput degradation at 1%% fault rate — %s\n"
     (if degradation < 15. then "MET" else "MISSED")
@@ -1328,33 +1360,35 @@ let reload_exp ?(smoke = false) () =
     (Epoch.grace_pending world.World.epochs);
   (* -- part 2: throughput at 0 / 1 / 1-per-10k reloads -- *)
   let count2 = if smoke then 10_000 else 100_000 in
-  let reps = if smoke then 3 else 5 in
-  let rate ~reloads =
-    let once () =
-      let engine, b1, b2 = build () in
-      let reload = schedule ~count:count2 ~reloads (b1, b2) in
-      (Serve.run engine
-         (Serve.plan ~size:64 ~reloads:reload ~hook:"xdp" ~count:count2 ()))
-        .Serve.totals.Serve.events_per_sec
-    in
-    ignore (once ()) (* warm up *);
-    List.fold_left
-      (fun acc _ -> Float.max acc (once ()))
-      (once ())
-      (List.init (reps - 1) Fun.id)
+  let pairs = if smoke then 8 else 16 in
+  let rate ~reloads () =
+    let engine, b1, b2 = build () in
+    let reload = schedule ~count:count2 ~reloads (b1, b2) in
+    (Serve.run engine
+       (Serve.plan ~size:64 ~reloads:reload ~hook:"xdp" ~count:count2 ()))
+      .Serve.totals.Serve.events_per_sec
   in
+  ignore (rate ~reloads:0 ()) (* warm up *);
+  (* each reloading leg is paired with its own interleaved 0-reload leg *)
   let dense_n = max 1 (count2 / 10_000) in
-  let base = rate ~reloads:0 in
-  let one = rate ~reloads:1 in
-  let dense = if dense_n = 1 then one else rate ~reloads:dense_n in
-  let pct x = (x -. base) /. base *. 100. in
+  let base, one, one_ratio =
+    interleaved ~pairs (rate ~reloads:0) (rate ~reloads:1)
+  in
+  let dense, dense_ratio =
+    if dense_n = 1 then (one, one_ratio)
+    else
+      let _, d, r = interleaved ~pairs (rate ~reloads:0) (rate ~reloads:dense_n) in
+      (d, r)
+  in
+  let pct r = (r -. 1.) *. 100. in
   Printf.printf
-    "  throughput, %d events:\n\
+    "  throughput, %d events, median of %d interleaved pairs (%% is the\n\
+    \  median per-pair ratio against the 0-reload leg):\n\
     \    0 reloads  %9.0f ev/s\n\
     \    1 reload   %9.0f ev/s (%+.1f%%)\n\
     \    %d reloads %9.0f ev/s (%+.1f%%)\n"
-    count2 base one (pct one) dense_n dense (pct dense);
-  let degradation = -.pct dense in
+    count2 pairs base one (pct one_ratio) dense_n dense (pct dense_ratio);
+  let degradation = -.pct dense_ratio in
   Printf.printf
     "  acceptance: 1 reload per 10k events costs < 5%% throughput — %s (%.1f%%)\n"
     (if degradation < 5. then "MET" else "MISSED")

@@ -197,7 +197,8 @@ type loop_internal = {
   mutable li_trips : int option;
 }
 
-let run (insns : Insn.insn array) (cfg : Cfg.t) : result =
+let run ~(solved : Elide_pass.Solver.result) (insns : Insn.insn array)
+    (cfg : Cfg.t) : result =
   let n = Array.length insns in
   let spans = compute_spans insns cfg in
   let live = Cfg.reachable cfg in
@@ -233,11 +234,6 @@ let run (insns : Insn.insn array) (cfg : Cfg.t) : result =
         done)
     live;
   (* -- natural loops from the DFS back edges -- *)
-  let solved =
-    Elide_pass.Solver.solve cfg
-      ~transfer:(Elide_pass.transfer insns)
-      ~edge_refine:(Elide_pass.edge_refine insns cfg)
-  in
   let preds = Cfg.preds cfg in
   let live_preds pc =
     List.filter (Hashtbl.mem live)

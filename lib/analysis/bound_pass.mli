@@ -42,4 +42,7 @@ val cost_cap : int
 (** Saturation point of the cost arithmetic: any total at or above this
     collapses to [Unbounded]. *)
 
-val run : Ebpf.Insn.insn array -> Ebpf.Cfg.t -> result
+val run :
+  solved:Elide_pass.Solver.result -> Ebpf.Insn.insn array -> Ebpf.Cfg.t -> result
+(** [solved] is {!Elide_pass.solve} over the same program and CFG: the
+    register-state fixpoint the elide pass also reads, solved once. *)

@@ -7,6 +7,15 @@
    [widen_delay] times, so infinite-height lattices — the register-state
    domain reuses Tnum plus 64-bit bounds — still terminate.
 
+   The widening contract: at a loop head the engine widens against
+   [join prev next], never against the bare [next].  A lattice's [widen]
+   may hand back [next] unchanged when no bound grew (Reg_state's does),
+   and a branch refinement can make the freshly flowed fact narrower than
+   the previous one; widening against the bare fact would let the head
+   swing down and up again until the safety cap stopped the solve.
+   Joining first makes each loop head's in-facts climb, so [widen] only
+   ever sees growth.
+
    Branch-sensitive passes refine the fact flowing along each edge with the
    optional [edge_refine] hook (the fall-through and taken edges of a
    conditional jump learn different bounds); passes that only care about
@@ -32,7 +41,8 @@ module type LATTICE = sig
   val widen : prev:fact -> fact -> fact
   (** Accelerate convergence at loop heads.  [fun ~prev:_ f -> f] is fine
       for finite lattices; infinite-height ones must jump moving components
-      to their extremes. *)
+      to their extremes.  The engine passes [join prev next] as the second
+      argument, so it is never below [prev]. *)
 end
 
 type direction = Forward | Backward
@@ -128,7 +138,7 @@ module Make (L : LATTICE) = struct
            let inb =
              if n > widen_delay && Hashtbl.mem loop_heads pc then
                match Hashtbl.find_opt block_in pc with
-               | Some prev -> L.widen ~prev inb
+               | Some prev -> L.widen ~prev (L.join prev inb)
                | None -> inb
              else inb
            in

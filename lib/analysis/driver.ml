@@ -67,6 +67,21 @@ let config_signature (c : config) =
     Helpers.Registry.defs;
   Buffer.contents buf
 
+(* [config_signature]'s SHA-256 hex, memoized on the last config value
+   seen.  The signature reads nothing but the (immutable) config and the
+   static helper table, so one digest per config value is exact, and only
+   the 64-character hex stays in memory.  The cell holds an immutable
+   pair, so loads on several domains at once at worst recompute it. *)
+let last_digest : (config * string) option Atomic.t = Atomic.make None
+
+let config_digest (c : config) =
+  match Atomic.get last_digest with
+  | Some (c', d) when c' = c -> d
+  | _ ->
+    let d = Hash.Sha256.hex_digest (config_signature c) in
+    Atomic.set last_digest (Some (c, d));
+    d
+
 (* ---- telemetry ---- *)
 
 let tele_runs = Telemetry.Registry.counter "analysis.runs"
@@ -97,17 +112,19 @@ let analyze ?(config = default_config) (insns : Insn.insn array) : report =
         Lock_pass.run insns cfg)
     else []
   in
+  (* one register-state fixpoint, shared by the elide and bound passes *)
+  let solved = lazy (Elide_pass.solve insns cfg) in
   let elide_findings, elide, elided =
     if config.elide then
       run_pass Elide_pass.pass_name (fun () ->
-          let r = Elide_pass.run insns cfg in
+          let r = Elide_pass.run ~solved:(Lazy.force solved) insns cfg in
           (r.Elide_pass.findings, r.Elide_pass.elide, r.Elide_pass.elided))
     else ([], Array.make (Array.length insns) (-1), 0)
   in
   let bound_findings, cost =
     if config.bound then
       run_pass Bound_pass.pass_name (fun () ->
-          let r = Bound_pass.run insns cfg in
+          let r = Bound_pass.run ~solved:(Lazy.force solved) insns cfg in
           (match r.Bound_pass.bound with
           | Bound_pass.Bounded _ -> Telemetry.Registry.bump tele_bounded
           | Bound_pass.Unbounded -> Telemetry.Registry.bump tele_unbounded);

@@ -228,11 +228,12 @@ type result = {
   elided : int;
 }
 
-let run (insns : Insn.insn array) (cfg : Cfg.t) : result =
-  let solved =
-    Solver.solve cfg ~transfer:(transfer insns)
-      ~edge_refine:(edge_refine insns cfg)
-  in
+(* The register-state fixpoint both this pass and the bound pass read. *)
+let solve (insns : Insn.insn array) (cfg : Cfg.t) : Solver.result =
+  Solver.solve cfg ~transfer:(transfer insns) ~edge_refine:(edge_refine insns cfg)
+
+let run ~(solved : Solver.result) (insns : Insn.insn array) (cfg : Cfg.t) :
+    result =
   let live = Cfg.reachable cfg in
   let n = Array.length insns in
   let elide = Array.make n (-1) in

@@ -147,9 +147,10 @@ let world_map_def (w : World.t) fd =
    still the authority on safety) and the elision vector is a performance
    fact — so this stage has no error arm; it decorates the eventual handle.
    Reports are cached in the world's verdict cache under (program digest,
-   analysis-config signature), the only inputs the passes read. *)
-let analyze_ebpf ?(use_cache = true) ~aconfig (w : World.t) (prog : Program.t) :
-    Analysis.Driver.report option =
+   analysis-config digest), the only inputs the passes read.  [?digest] is
+   [Program.digest prog], when the caller already has it. *)
+let analyze_ebpf ?(use_cache = true) ?digest ~aconfig (w : World.t)
+    (prog : Program.t) : Analysis.Driver.report option =
   let config = aconfig in
   if config = Analysis.Driver.all_off then None
   else begin
@@ -158,8 +159,9 @@ let analyze_ebpf ?(use_cache = true) ~aconfig (w : World.t) (prog : Program.t) :
       if not use_cache then Analysis.Driver.analyze ~config prog.Program.insns
       else begin
         let key =
-          Verdict_cache.analysis_key ~digest:(Program.digest prog)
-            ~signature:(Analysis.Driver.config_signature config)
+          Verdict_cache.analysis_key
+            ~digest:(Option.value digest ~default:(Program.digest prog))
+            ~config_digest:(Analysis.Driver.config_digest config)
         in
         match Verdict_cache.find_analysis w.World.vcache key with
         | Some r ->
@@ -194,8 +196,9 @@ let verify_uncached ~config (w : World.t) (prog : Program.t) :
 (* Gate, path A: the in-kernel verifier behind the content-addressed verdict
    cache.  The fingerprint is recomputed from live mutable state on every
    load, so config/bug-set mutation invalidates by construction; crashes are
-   never cached (each crashing load must oops the kernel again). *)
-let gate_verify ?(use_cache = true) ~vconfig ~aconfig (w : World.t)
+   never cached (each crashing load must oops the kernel again).  Only the
+   analysis-config part is memoized, per (immutable) config value. *)
+let gate_verify ?(use_cache = true) ?digest ~vconfig ~aconfig (w : World.t)
     (prog : Program.t) : (Verifier.stats, error) result =
   let started = Clock.host_ns () in
   let result =
@@ -204,11 +207,15 @@ let gate_verify ?(use_cache = true) ~vconfig ~aconfig (w : World.t)
       let epoch = Epoch.current_epoch w.World.epochs in
       let fingerprint =
         Verdict_cache.fingerprint
-          ~analysis:(Analysis.Driver.config_signature aconfig)
+          ~analysis:(Analysis.Driver.config_digest aconfig)
           ~config:vconfig ~bugs:w.World.bugs
           ~map_def:(world_map_def w) prog
       in
-      let key = Verdict_cache.key ~digest:(Program.digest prog) ~fingerprint in
+      let key =
+        Verdict_cache.key
+          ~digest:(Option.value digest ~default:(Program.digest prog))
+          ~fingerprint
+      in
       match Verdict_cache.find ~epoch w.World.vcache key with
       | Some (Ok vstats) ->
         Telemetry.Registry.bump tele_cache_hits;
@@ -262,8 +269,11 @@ let load_ebpf ?use_cache ?into (w : World.t) (prog : Program.t) :
         Telemetry.Registry.with_span ~clock:Clock.host_ns "pipeline.load" (fun () ->
             let* prog = stage_span Admission (fun () -> admit ~vconfig prog) in
             let* prog = stage_span Fixup (fun () -> fixup prog) in
+            (* the fixed-up image's digest keys both cache lookups *)
+            let digest = Program.digest prog in
             let analysis =
-              stage_span Analyze (fun () -> analyze_ebpf ?use_cache ~aconfig w prog)
+              stage_span Analyze (fun () ->
+                  analyze_ebpf ?use_cache ~digest ~aconfig w prog)
             in
             (* cost-budget admission rides the analyze result: a static
                bound over the epoch's max_cost budget (or an Unbounded
@@ -288,7 +298,7 @@ let load_ebpf ?use_cache ?into (w : World.t) (prog : Program.t) :
             in
             let* vstats =
               stage_span Gate (fun () ->
-                  gate_verify ?use_cache ~vconfig ~aconfig w prog)
+                  gate_verify ?use_cache ~digest ~vconfig ~aconfig w prog)
             in
             Ok (stage_span Link (fun () -> link_ebpf b prog vstats analysis))))
   in

@@ -46,17 +46,19 @@ val fixup : Ebpf.Program.t -> (Ebpf.Program.t, error) result
 (** Fixup stage alone: resolve helper-name relocations to helper ids. *)
 
 val analyze_ebpf :
-  ?use_cache:bool -> aconfig:Analysis.Driver.config -> World.t ->
-  Ebpf.Program.t -> Analysis.Driver.report option
+  ?use_cache:bool -> ?digest:string -> aconfig:Analysis.Driver.config ->
+  World.t -> Ebpf.Program.t -> Analysis.Driver.report option
 (** Analyze stage alone: run the static-analysis passes [aconfig] enables
     (resource obligations, lock discipline, guard elision) on a fixed-up
     program.  Findings are advisory — they never block a load — so the
     stage has no error arm; [None] means every pass is off.  Reports are
     cached in the world's verdict cache under (program digest,
-    analysis-config signature). *)
+    analysis-config digest).  [?digest] is the program's
+    {!Ebpf.Program.digest}, when the caller already has it. *)
 
 val gate_verify :
   ?use_cache:bool ->
+  ?digest:string ->
   vconfig:Bpf_verifier.Verifier.config ->
   aconfig:Analysis.Driver.config ->
   World.t -> Ebpf.Program.t ->
@@ -65,7 +67,8 @@ val gate_verify :
     The cache key fingerprints every verdict input, so a changed config or
     bug set invalidates; verifier crashes are never cached.  Cached entries
     are epoch-tagged: a hit stored under an earlier epoch counts as a
-    cross-epoch reuse ([cache.cross_epoch_reuse]). *)
+    cross-epoch reuse ([cache.cross_epoch_reuse]).  [?digest] is as for
+    {!analyze_ebpf}. *)
 
 val gate_validate :
   Rustlite.Toolchain.signed_extension -> (unit, error) result

@@ -405,6 +405,20 @@ let server (e : engine) (p : plan) ctl ~(world : World.t) ~ictx ~sup
      exported per-event time is [dispatch.event_ns] (host wall ns), and
      each extension's scorecard records its own Vclock latency. *)
   let span_sink = Telemetry.Histogram.make "dispatch.event" in
+  (* each attachment's "dispatch.<ext>" span name and its ".ns" histogram,
+     interned on first use and kept for the stream *)
+  let ext_spans : (int, string * Telemetry.Histogram.t) Hashtbl.t =
+    Hashtbl.create 8
+  in
+  let ext_span (a : Attach.attachment) =
+    match Hashtbl.find_opt ext_spans a.Attach.attach_id with
+    | Some s -> s
+    | None ->
+      let span = "dispatch." ^ Attach.name a in
+      let s = (span, Registry.histogram (span ^ ".ns")) in
+      Hashtbl.add ext_spans a.Attach.attach_id s;
+      s
+  in
   let invocations = ref 0 and finished = ref 0 and stopped = ref 0 in
   let crashed = ref 0 and exhausted = ref 0 and skipped = ref 0 in
   let faults_absorbed = ref 0 and quarantined = ref 0 and injected = ref 0 in
@@ -480,7 +494,8 @@ let server (e : engine) (p : plan) ctl ~(world : World.t) ~ictx ~sup
             if supervised then Supervisor.decide sup ext ~now_ns:(vnow ())
             else Supervisor.Execute
           in
-          Registry.with_span ("dispatch." ^ name) ~clock:vnow
+          let span, hist = ext_span a in
+          Registry.with_span span ~hist ~clock:vnow
           @@ fun () ->
           match decision with
           | Supervisor.Skip ->

@@ -78,7 +78,7 @@ let fingerprint ?(analysis = "") ~(config : Verifier.config) ~(bugs : Bugdb.t)
   add "kver %s" (Kver.to_string config.Verifier.version);
   (* the static-analysis configuration rides along: toggling a pass (or a
      helper safety flag) must not replay load results computed without it *)
-  if analysis <> "" then add "analysis %s" (Hash.Sha256.hex_digest analysis);
+  if analysis <> "" then add "analysis %s" analysis;
   add "max_insns %d" config.Verifier.max_insns;
   add "insn_budget %d" config.Verifier.insn_budget;
   add "max_states %d" config.Verifier.max_states_per_point;
@@ -143,10 +143,9 @@ let find ?(epoch = 0) t k =
 let store ?(epoch = 0) t k v = Hashtbl.replace t.tbl k (v, epoch)
 
 (* Analysis reports are keyed by (program digest, analysis-config
-   signature): the passes read nothing else, so nothing else can
-   invalidate them. *)
-let analysis_key ~digest ~signature =
-  digest ^ ":" ^ Hash.Sha256.hex_digest signature
+   digest): the passes read nothing else, so nothing else can invalidate
+   them. *)
+let analysis_key ~digest ~config_digest = digest ^ ":" ^ config_digest
 
 let find_analysis t k =
   match Hashtbl.find_opt t.atbl k with

@@ -22,10 +22,11 @@ val fingerprint :
   map_def:(int -> Maps.Bpf_map.def option) ->
   Ebpf.Program.t ->
   string
-(** Hash of every verdict input besides program content.  [?analysis] is
-    the static-analysis configuration signature
-    ({!Analysis.Driver.config_signature}); when non-empty it is folded in,
-    so toggling an analysis pass invalidates cached load results. *)
+(** Hash of every verdict input besides program content, built from the
+    live values passed on each call.  [?analysis] is the digest of the
+    static-analysis configuration ({!Analysis.Driver.config_digest},
+    memoized per config value); when non-empty it is folded in, so
+    toggling an analysis pass invalidates cached load results. *)
 
 val key : digest:string -> fingerprint:string -> string
 
@@ -47,10 +48,12 @@ val store : ?epoch:int -> t -> string -> verdict -> unit
 (** {2 Cached static-analysis reports}
 
     Stored alongside verdicts under (program digest, analysis-config
-    signature) — the only inputs the passes read — with separate hit/miss
+    digest) — the only inputs the passes read — with separate hit/miss
     tallies so analysis caching cannot perturb verdict measurements. *)
 
-val analysis_key : digest:string -> signature:string -> string
+val analysis_key : digest:string -> config_digest:string -> string
+(** [config_digest] is {!Analysis.Driver.config_digest} of the config the
+    report is computed under. *)
 
 val find_analysis : t -> string -> Analysis.Driver.report option
 (** Bumps the analysis hit/miss tallies as a side effect. *)

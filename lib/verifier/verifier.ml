@@ -77,14 +77,18 @@ type env = {
   logbuf : Buffer.t;
 }
 
+(* One log line.  Quiet runs go through [ikfprintf], which consumes the
+   arguments without running any printer: pass states as [%a] with their
+   printer, never pre-rendered, or every processed instruction pays to
+   print 11 registers nobody reads. *)
 let vlog env fmt =
-  Format.kasprintf
-    (fun s ->
-      if env.config.verbose then begin
+  if env.config.verbose then
+    Format.kasprintf
+      (fun s ->
         Buffer.add_string env.logbuf s;
-        Buffer.add_char env.logbuf '\n'
-      end)
-    fmt
+        Buffer.add_char env.logbuf '\n')
+      fmt
+  else Format.ikfprintf ignore Format.str_formatter fmt
 
 let fresh_id env =
   env.next_id <- env.next_id + 1;
@@ -1037,9 +1041,8 @@ let explore env ~entry_pc ~entry_state =
               if List.length !cell < env.config.max_states_per_point then
                 cell := Vstate.copy cur_st :: !cell
             end;
-            vlog env "%d: %s ; %s" cur_pc
-              (Insn.to_string env.prog.Program.insns.(cur_pc))
-              (Format.asprintf "%a" Vstate.pp cur_st);
+            vlog env "%d: %a ; %a" cur_pc Insn.pp
+              env.prog.Program.insns.(cur_pc) Vstate.pp cur_st;
             match process_insn env cur_st ~pc:cur_pc with
             | `Continue next -> continue_ := Some (next, cur_st)
             | `Done -> ()

@@ -100,6 +100,29 @@ let test_engine_no_widening_diverges () =
   in
   Alcotest.(check bool) "cap trips" false solved.S.converged
 
+(* A lattice whose [widen] hands back a [next] narrower than [prev] (it
+   only jumps to Top on growth), under a transfer that is not monotone:
+   Top maps to [Count 0], the way a multiply by an even constant can give
+   a widened register a narrower fact.  Widening the head against the bare
+   flowed fact would swing Top -> 0 -> 1 -> Top ... until the cap; the
+   engine widens against [join prev next], so the head stays at Top and
+   the solve settles within a few visits. *)
+let test_engine_narrowing_widen_converges () =
+  let insns = insns_of loop_items in
+  let solved =
+    Count_solver.solve (Cfg.build insns) ~transfer:(fun _b f ->
+        match f with
+        | Count.Count n -> Count.Count (n + 1)
+        | Count.Top -> Count.Count 0
+        | Count.Bot -> Count.Bot)
+  in
+  Alcotest.(check bool) "converged" true solved.Count_solver.converged;
+  Alcotest.(check bool)
+    (Printf.sprintf "settles within 12 block transfers (took %d)"
+       solved.Count_solver.iterations)
+    true
+    (solved.Count_solver.iterations <= 12)
+
 let test_engine_backward () =
   (* Backward reachability-of-exit: every block of a diamond can reach the
      exit, so the entry's backward in-fact must be [true]. *)
@@ -316,7 +339,14 @@ let test_driver_config_toggles () =
     only_lock.Driver.passes_run;
   let sig_a = Driver.config_signature Driver.default_config in
   let sig_b = Driver.config_signature Driver.all_off in
-  Alcotest.(check bool) "config signature distinguishes" true (sig_a <> sig_b)
+  Alcotest.(check bool) "config signature distinguishes" true (sig_a <> sig_b);
+  (* the memoized digest follows the config value it is asked about *)
+  List.iter
+    (fun (c, sg) ->
+      Alcotest.(check string) "config digest = hash of signature"
+        (Hash.Sha256.hex_digest sg) (Driver.config_digest c))
+    [ (Driver.default_config, sig_a); (Driver.all_off, sig_b);
+      (Driver.default_config, sig_a) ]
 
 (* ---- ground truth: reported leaks are real leaks ---- *)
 
@@ -598,6 +628,100 @@ let bound_soundness_property =
           [ Chaos.Calm; Chaos.Fuel_pressure 7L; Chaos.Fuel_pressure 100L;
             Chaos.Stack_pressure ])
 
+(* ---- loops that multiply: the widening must converge ---- *)
+
+(* Two counted loops that multiply a register by an even constant, laid
+   out the way the fuzz generator lays out its chunks (prologue, chunks,
+   epilogue).  The multiply narrows the widened register's tnum on each
+   pass round the loop.  The solve must converge well under its safety cap,
+   both loops must get their trip counts, and the static bound must
+   dominate what the program retires in every execution mode. *)
+let geometric_images (env : Fuzz.Gen.env) =
+  [ ( "ringbuf", 1,
+      [ map_fd r1 env.Fuzz.Gen.rb_fd; mov_i r2 8; mov_i r3 0;
+        call (h "bpf_ringbuf_reserve"); jeq_i r0 0 "full"; stxdw r0 0 r6;
+        mov_r r1 r0; mov_i r2 0; call (h "bpf_ringbuf_submit");
+        label "full"; mov_i r0 0; xor_i r8 11332; sub_i r8 267;
+        and_i r6 55551; jlt_i r6 96 "t"; or_i r8 19; xor_i r6 35297; ja "j";
+        label "t"; or_i r6 10; add_r r6 r8; xor_i r8 21810; label "j";
+        mov_i r7 4; label "l"; and_i r8 45055; mul_i r6 2; sub_i r7 1;
+        jne_i r7 0 "l"; call (h "bpf_get_prandom_u32"); and_i r0 0xff;
+        add_r r6 r0 ] );
+    ( "maps", 0,
+      [ mov_i r7 12; label "l"; mod_i r6 6; mul_i r8 6; add_i r8 51;
+        sub_i r7 1; jne_i r7 0 "l"; jlt_i r6 18 "t"; add_i r6 322;
+        sub_i r6 326; mul_i r8 6; ja "j"; label "t"; lsh_i r6 14;
+        xor_i r8 57711; label "j"; stw r10 (-8) 6;
+        map_fd r1 env.Fuzz.Gen.arr_fd; mov_r r2 r10; add_i r2 (-8);
+        call (h "bpf_map_lookup_elem"); jeq_i r0 0 "miss"; ldxdw r8 r0 0;
+        add_r r6 r8; label "miss"; mov_i r0 0; div_i r6 2; xor_i r6 24059;
+        sub_i r8 435; ldxw r8 r9 4; add_r r6 r8 ] ) ]
+
+(* Block transfers the register-state solve may take on either image: a
+   small multiple of the 15 and 30 it takes, far below the
+   64 * (blocks + 1) * 4 = 2,304 safety cap that a loop head swinging
+   between a widened and a narrowed fact runs into. *)
+let geometric_iteration_ceiling = 64
+
+let test_geometric_loops_converge () =
+  let _, env = Fuzz.Oracle.setup_world () in
+  List.iter
+    (fun (name, elisions, body) ->
+      let p = prog ~name (Fuzz.Gen.prologue @ body @ Fuzz.Gen.epilogue) in
+      let insns = p.Ebpf.Program.insns in
+      let solved = Analysis.Elide_pass.solve insns (Cfg.build insns) in
+      let module S = Analysis.Elide_pass.Solver in
+      Alcotest.(check bool) (name ^ ": solve converged") true solved.S.converged;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d block transfers <= %d" name solved.S.iterations
+           geometric_iteration_ceiling)
+        true
+        (solved.S.iterations <= geometric_iteration_ceiling);
+      let report = Driver.analyze insns in
+      (* the ringbuf image's [jlt r6, 96] tests the constant 17; the elide
+         pass resolves guards only from a converged solve *)
+      Alcotest.(check int) (name ^ ": guards elided") elisions
+        report.Driver.elided;
+      let c =
+        match report.Driver.cost with
+        | Some c -> c
+        | None -> Alcotest.fail "bound pass did not run"
+      in
+      Alcotest.(check bool) (name ^ ": loop trip count inferred") true
+        (c.Bound_pass.loops <> []
+        && List.for_all (fun l -> l.Bound_pass.trips <> None) c.Bound_pass.loops);
+      match c.Bound_pass.bound with
+      | Bound_pass.Unbounded -> Alcotest.failf "%s: counted loop left unbounded" name
+      | Bound_pass.Bounded b ->
+        List.iter
+          (fun (use_jit, use_elision, use_bound_batching) ->
+            let world, _ = Fuzz.Oracle.setup_world () in
+            let opts =
+              { Invoke.default_opts with
+                Invoke.skb_payload = Some Fuzz.Oracle.payload; use_jit;
+                use_elision; use_bound_batching }
+            in
+            let r = Invoke.run ~opts world (fabricate p) in
+            let mode =
+              Printf.sprintf "%s jit=%b elision=%b batching=%b" name use_jit
+                use_elision use_bound_batching
+            in
+            (match r.Invoke.outcome with
+            | Invoke.Finished _ -> ()
+            | o -> Alcotest.failf "%s: %a" mode Invoke.pp_outcome o);
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: retired %Ld <= bound %d" mode
+                 r.Invoke.insns_retired b)
+              true
+              (Int64.to_int r.Invoke.insns_retired <= b))
+          (List.concat_map
+             (fun jit ->
+               List.concat_map
+                 (fun el -> [ (jit, el, false); (jit, el, true) ])
+                 [ false; true ])
+             [ false; true ]))
+    (geometric_images env)
+
 (* ---- no masking: unbounded programs stay the watchdog's problem ---- *)
 
 let test_unbounded_still_trips_watchdog () =
@@ -624,6 +748,8 @@ let suite =
       test_engine_terminates_cyclic;
     Alcotest.test_case "engine: cap catches missing widening" `Quick
       test_engine_no_widening_diverges;
+    Alcotest.test_case "engine: converges when widen narrows" `Quick
+      test_engine_narrowing_widen_converges;
     Alcotest.test_case "engine: backward direction" `Quick test_engine_backward;
     Alcotest.test_case "resource: diamond join keeps one-arm leak" `Quick
       test_resource_diamond_join;
@@ -659,6 +785,8 @@ let suite =
       test_bound_honest_unbounded;
     Alcotest.test_case "bound: unbounded still trips the watchdog" `Quick
       test_unbounded_still_trips_watchdog;
+    Alcotest.test_case "bound: multiplying loops converge and dominate" `Quick
+      test_geometric_loops_converge;
     QCheck_alcotest.to_alcotest join_laws_property;
     QCheck_alcotest.to_alcotest leak_ground_truth_property;
     QCheck_alcotest.to_alcotest chaos_no_masking_property;

@@ -496,6 +496,74 @@ let test_quiet_by_default () =
   | Ok s -> Alcotest.(check string) "no log collected" "" s.V.log
   | Error _ -> Alcotest.fail "rejected"
 
+(* A program that reaches every log line the verifier writes: a pruned
+   join, a map lookup with its null check, a bounds-checked variable
+   offset into the value, pointers, constants and ranged scalars. *)
+let log_items =
+  [ mov_r r9 r1; ldxdw r6 r9 0; jeq_i r6 0 "z"; mov_i r6 0; label "z";
+    ldxdw r7 r9 8 ]
+  @ map_lookup_prelude
+  @ [ jeq_i r0 0 "out"; jge_i r7 16 "out"; add_r r0 r7; ldxb r3 r0 0;
+      label "out"; mov_i r0 0; exit_ ]
+
+(* Quiet runs keep no log and render no state: printing the registers of
+   each processed instruction allocates about 2,000 words per instruction,
+   a quiet run of this program about 170. *)
+let test_quiet_log_empty () =
+  let config = { (V.default_config ()) with V.verbose = false } in
+  ignore (verify ~config log_items);
+  let before = Gc.minor_words () in
+  match verify ~config log_items with
+  | Ok s ->
+    let per_insn =
+      (Gc.minor_words () -. before) /. float_of_int s.V.insns_processed
+    in
+    Alcotest.(check int) "a prune fired" 1 s.V.prune_hits;
+    Alcotest.(check string) "no log collected" "" s.V.log;
+    Alcotest.(check bool)
+      (Printf.sprintf "%.0f words allocated per insn < 600" per_insn)
+      true (per_insn < 600.)
+  | Error _ -> Alcotest.fail "rejected"
+
+(* The verbose log of [log_items], byte for byte: states are printed only
+   when asked for, but exactly as they always were. *)
+let expected_log =
+  String.concat ""
+    (List.map
+       (fun l -> l ^ "\n")
+       [
+      "0: mov r9, r1 ; r1=ctx r10=fp ";
+      "1: ldxdw r6, [r9+0] ; r1=ctx r9=ctx r10=fp ";
+      "2: jeq r6, 0, +1 ; r1=ctx r6=scalar(umin=0,umax=18446744073709551615,smin=-9223372036854775808,smax=9223372036854775807,var=(0; ffffffffffffffff)) r9=ctx r10=fp ";
+      "4: ldxdw r7, [r9+8] ; r1=ctx r6=0 r9=ctx r10=fp ";
+      "5: stdw [r10-8], 0 ; r1=ctx r6=0 r7=scalar(umin=0,umax=18446744073709551615,smin=-9223372036854775808,smax=9223372036854775807,var=(0; ffffffffffffffff)) r9=ctx r10=fp ";
+      "6: lddw r1, map_fd 1 ; r1=ctx r6=0 r7=scalar(umin=0,umax=18446744073709551615,smin=-9223372036854775808,smax=9223372036854775807,var=(0; ffffffffffffffff)) r9=ctx r10=fp ";
+      "7: mov r2, r10 ; r1=map_ptr(map=1) r6=0 r7=scalar(umin=0,umax=18446744073709551615,smin=-9223372036854775808,smax=9223372036854775807,var=(0; ffffffffffffffff)) r9=ctx r10=fp ";
+      "8: add r2, -8 ; r1=map_ptr(map=1) r2=fp r6=0 r7=scalar(umin=0,umax=18446744073709551615,smin=-9223372036854775808,smax=9223372036854775807,var=(0; ffffffffffffffff)) r9=ctx r10=fp ";
+      "9: call 1 ; r1=map_ptr(map=1) r2=fp-8 r6=0 r7=scalar(umin=0,umax=18446744073709551615,smin=-9223372036854775808,smax=9223372036854775807,var=(0; ffffffffffffffff)) r9=ctx r10=fp ";
+      "10: jeq r0, 0, +3 ; r0=map_value_or_null(map=1) r6=0 r7=scalar(umin=0,umax=18446744073709551615,smin=-9223372036854775808,smax=9223372036854775807,var=(0; ffffffffffffffff)) r9=ctx r10=fp ";
+      "14: mov r0, 0 ; r0=0 r6=0 r7=scalar(umin=0,umax=18446744073709551615,smin=-9223372036854775808,smax=9223372036854775807,var=(0; ffffffffffffffff)) r9=ctx r10=fp ";
+      "15: exit ; r0=0 r6=0 r7=scalar(umin=0,umax=18446744073709551615,smin=-9223372036854775808,smax=9223372036854775807,var=(0; ffffffffffffffff)) r9=ctx r10=fp ";
+      "11: jge r7, 16, +2 ; r0=map_value(map=1) r6=0 r7=scalar(umin=0,umax=18446744073709551615,smin=-9223372036854775808,smax=9223372036854775807,var=(0; ffffffffffffffff)) r9=ctx r10=fp ";
+      "14: mov r0, 0 ; r0=map_value(map=1) r6=0 r7=scalar(umin=16,umax=18446744073709551615,smin=-9223372036854775808,smax=9223372036854775807,var=(0; ffffffffffffffff)) r9=ctx r10=fp ";
+      "15: exit ; r0=0 r6=0 r7=scalar(umin=16,umax=18446744073709551615,smin=-9223372036854775808,smax=9223372036854775807,var=(0; ffffffffffffffff)) r9=ctx r10=fp ";
+      "12: add r0, r7 ; r0=map_value(map=1) r6=0 r7=scalar(umin=0,umax=15,smin=0,smax=15,var=(0; f)) r9=ctx r10=fp ";
+      "13: ldxb r3, [r0+0] ; r0=map_value(map=1)+(0; f) r6=0 r7=scalar(umin=0,umax=15,smin=0,smax=15,var=(0; f)) r9=ctx r10=fp ";
+      "14: mov r0, 0 ; r0=map_value(map=1)+(0; f) r3=scalar(umin=0,umax=4294967295,smin=0,smax=4294967295,var=(0; ffffffff)) r6=0 r7=scalar(umin=0,umax=15,smin=0,smax=15,var=(0; f)) r9=ctx r10=fp ";
+      "15: exit ; r0=0 r3=scalar(umin=0,umax=4294967295,smin=0,smax=4294967295,var=(0; ffffffff)) r6=0 r7=scalar(umin=0,umax=15,smin=0,smax=15,var=(0; f)) r9=ctx r10=fp ";
+      "3: mov r6, 0 ; r1=ctx r6=scalar(umin=0,umax=18446744073709551615,smin=-9223372036854775808,smax=9223372036854775807,var=(0; ffffffffffffffff)) r9=ctx r10=fp ";
+      "4: safe (pruned: state subsumed by a verified one)";
+       ])
+
+let test_verbose_log_golden () =
+  let config = { (V.default_config ()) with V.verbose = true } in
+  match verify ~config log_items with
+  | Ok s ->
+    Alcotest.(check (list int)) "insns, states, prunes" [ 21; 4; 1 ]
+      [ s.V.insns_processed; s.V.states_explored; s.V.prune_hits ];
+    Alcotest.(check string) "log" expected_log s.V.log
+  | Error _ -> Alcotest.fail "rejected"
+
 (* ---------------- injectable bugs flip decisions ---------------- *)
 
 let flip_test name ~vuln_field items =
@@ -759,6 +827,8 @@ let suite =
     Alcotest.test_case "false positive: mod vs mask" `Quick test_false_positive_mod_vs_mask;
     Alcotest.test_case "spectre v1 gate" `Quick test_spectre_v1_gate;
     Alcotest.test_case "verbose log" `Quick test_verbose_log;
+    Alcotest.test_case "quiet run keeps no log" `Quick test_quiet_log_empty;
+    Alcotest.test_case "verbose log text unchanged" `Quick test_verbose_log_golden;
     Alcotest.test_case "quiet by default" `Quick test_quiet_by_default;
   ]
   @ List.map (fun (name, f) -> Alcotest.test_case name `Quick f) bug_flips
